@@ -95,8 +95,9 @@ let micro_tests ~design () =
   let fig7_sdp =
     Test.make ~name:"fig7/sdp-partition-solve"
       (Staged.stage (fun () ->
-           let problem, _ = Cpla.Sdp_method.build_problem f in
-           Cpla_sdp.Solver.solve ~options:Cpla.Config.default.Cpla.Config.sdp_options problem))
+           let { Cpla.Sdp_method.problem; groups; _ } = Cpla.Sdp_method.build_problem f in
+           Cpla_sdp.Solver.solve ~options:Cpla.Config.default.Cpla.Config.sdp_options ~groups
+             problem))
   in
   let fig8_partition =
     Test.make ~name:"fig8/self-adaptive-partition"
@@ -230,19 +231,12 @@ let run_micro ?design () =
 let batch_tests ~design () =
   let _, _, _, f, _, _ = micro_fixture ~design () in
   let sdp_options = Cpla.Config.default.Cpla.Config.sdp_options in
-  let problem, _ = Cpla.Sdp_method.build_problem f in
-  let compiled = Cpla_sdp.Kernel.compile ~rank:sdp_options.Cpla_sdp.Solver.rank problem in
-  let dim, _ = Cpla_sdp.Kernel.dims compiled in
-  let kopts =
-    {
-      Cpla_sdp.Kernel.max_outer = sdp_options.Cpla_sdp.Solver.max_outer;
-      inner_iters = sdp_options.Cpla_sdp.Solver.inner_iters;
-      sigma0 = sdp_options.Cpla_sdp.Solver.sigma0;
-      sigma_growth = sdp_options.Cpla_sdp.Solver.sigma_growth;
-      feas_tol = sdp_options.Cpla_sdp.Solver.feas_tol;
-      seed = sdp_options.Cpla_sdp.Solver.seed;
-    }
+  let { Cpla.Sdp_method.problem; groups; _ } = Cpla.Sdp_method.build_problem f in
+  let compiled =
+    Cpla_sdp.Kernel.compile ~groups ~rank:sdp_options.Cpla_sdp.Solver.rank problem
   in
+  let dim, _ = Cpla_sdp.Kernel.dims compiled in
+  let kopts = Cpla_sdp.Solver.kernel_options sdp_options in
   let sdp_ws = Cpla_sdp.Kernel.ws_create () in
   let x_diag = Array.make dim 0.0 in
   let sdp_reused =

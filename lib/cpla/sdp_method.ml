@@ -1,5 +1,7 @@
 open Cpla_sdp
 
+type built = { problem : Problem.t; index : int -> int -> int; groups : int array }
+
 let build_problem (f : Formulation.t) =
   let x_base = Array.make (Array.length f.Formulation.vars) 0 in
   let next = ref 0 in
@@ -80,24 +82,51 @@ let build_problem (f : Formulation.t) =
       in
       constraints := { Problem.terms; b = float_of_int r.Formulation.limit } :: !constraints)
     f.Formulation.cap_rows;
-  (Problem.create ~dim ~cost:!cost ~constraints:!constraints, index)
+  (* ranking groups: Post_map ranks a layer's candidates against each
+     other, so each candidate index is grouped by its layer; slacks are
+     never ranked.  The kernel breaks ties by ascending index, which is
+     Post_map's ascending var index: a var's candidates have distinct
+     layers and [x_base] grows with the var. *)
+  let groups = Array.make dim (-1) in
+  Array.iteri
+    (fun vi (v : Formulation.var) ->
+      Array.iteri (fun ci layer -> groups.(index vi ci) <- layer) v.Formulation.cands)
+    f.Formulation.vars;
+  { problem = Problem.create ~dim ~cost:!cost ~constraints:!constraints; index; groups }
 
 type solution = { frac : float array array; factor : float array }
 
-let fractional_table (f : Formulation.t) index (result : Solver.result) =
+let fractional_table (f : Formulation.t) index x_diag =
   Array.mapi
     (fun vi (v : Formulation.var) ->
       Array.mapi
         (fun ci _ ->
-          let x = result.Solver.x_diag.(index vi ci) in
+          let x = x_diag.(index vi ci) in
           Float.max 0.0 (Float.min 1.0 x))
         v.Formulation.cands)
     f.Formulation.vars
 
-let flat_factor (result : Solver.result) =
-  let open Cpla_numeric in
-  let rows = result.Solver.v.Mat.rows and cols = result.Solver.v.Mat.cols in
-  Array.init (rows * cols) (fun k -> Mat.get result.Solver.v (k / cols) (k mod cols))
+(* A final residual above 100·feas_tol (or non-finite) is a stall: the
+   augmented Lagrangian ended far from feasible.  The kernel's ranked exit
+   requires a violation within the same bound, so it never produces one. *)
+let stalled ~(options : Solver.options) ws =
+  let viol = Kernel.max_violation ws in
+  (not (Float.is_finite viol)) || viol > 100.0 *. options.Solver.feas_tol
+
+(* Per kernel run (a warm attempt and its cold retry are two runs). *)
+let record_telemetry ~(options : Solver.options) ws =
+  let open Cpla_obs in
+  Metrics.observe ~lo:(-0.5) ~hi:15.5 ~bins:16 "sdp/outer-rounds"
+    (float_of_int (Kernel.outer_rounds ws));
+  Metrics.observe ~lo:0.0 ~hi:2000.0 ~bins:20 "sdp/lbfgs-iters"
+    (float_of_int (Kernel.lbfgs_iters ws));
+  (* log10, in half-decade bins up to the stall threshold, so the overflow
+     count is the stalled runs *)
+  Metrics.observe ~lo:(-10.0)
+    ~hi:(Float.log10 (100.0 *. options.Solver.feas_tol))
+    ~bins:16 "sdp/final-violation"
+    (Float.log10 (Kernel.max_violation ws));
+  if Kernel.ranked_exit ws then Metrics.incr "sdp/ranked-exits"
 
 let solve_fractional ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
   if Array.length f.Formulation.vars = 0 then { frac = [||]; factor = [||] }
@@ -107,26 +136,30 @@ let solve_fractional ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t
       (fun () ->
         Cpla_obs.Metrics.incr "sdp/solves";
         check ();
-        let problem, index = build_problem f in
-        check ();
-        let result = Solver.solve ~options ?ws ?v0 problem in
+        let { problem; index; groups } = build_problem f in
+        let compiled = Kernel.compile ~groups ~rank:options.Solver.rank problem in
+        let dim, r = Kernel.dims compiled in
+        let ws = match ws with Some w -> w | None -> Kernel.ws_create () in
+        let kopts = Solver.kernel_options options in
+        let x_diag = Array.make dim 0.0 in
+        let run ?v0 () =
+          check ();
+          Kernel.solve_into ?v0 ws compiled ~options:kopts ~x_diag;
+          record_telemetry ~options ws
+        in
+        run ?v0 ();
         (* A warm seed far from this formulation's basin can leave the
-           augmented Lagrangian stalled at an infeasible point; treat a
-           badly violated (or non-finite) final residual as a stall and
-           retry from the deterministic cold start. *)
-        let stalled (r : Solver.result) =
-          (not (Float.is_finite r.Solver.max_violation))
-          || r.Solver.max_violation > 100.0 *. options.Solver.feas_tol
-        in
-        let result =
-          match v0 with
-          | Some _ when stalled result ->
-              Cpla_obs.Metrics.incr "sdp/warm-retries";
-              check ();
-              Solver.solve ~options ?ws problem
-          | _ -> result
-        in
-        { frac = fractional_table f index result; factor = flat_factor result })
+           augmented Lagrangian stalled at an infeasible point; retry from
+           the deterministic cold start.  A stalled cold solve is kept (its
+           ranking still feeds Post_map) and counted. *)
+        (match v0 with
+        | Some _ when stalled ~options ws ->
+            Cpla_obs.Metrics.incr "sdp/warm-retries";
+            run ()
+        | _ -> ());
+        (* the final run is cold whenever it is stalled *)
+        if stalled ~options ws then Cpla_obs.Metrics.incr "sdp/stalled";
+        { frac = fractional_table f index x_diag; factor = Array.sub (Kernel.v ws) 0 (dim * r) })
 
 let solve ~options ?ws ?check (f : Formulation.t) =
   let { frac; _ } = solve_fractional ~options ?ws ?check f in

@@ -8,9 +8,18 @@
     become equalities through PSD slack diagonal entries; via capacity (4d)
     lives in the objective as λ, exactly as the paper describes. *)
 
-val build_problem : Formulation.t -> Cpla_sdp.Problem.t * (int -> int -> int)
-(** [(problem, index)] where [index vi ci] is the matrix row/column of var
-    [vi]'s candidate [ci].  Slack entries occupy the trailing rows. *)
+type built = {
+  problem : Cpla_sdp.Problem.t;
+  index : int -> int -> int;
+      (** [index vi ci] is the matrix row/column of var [vi]'s candidate
+          [ci]; slack entries occupy the trailing rows *)
+  groups : int array;
+      (** ranking group of each row: the candidate's layer, [-1] for a
+          slack — pass to {!Cpla_sdp.Kernel.compile} to enable the ranked
+          exit *)
+}
+
+val build_problem : Formulation.t -> built
 
 type solution = {
   frac : float array array;
@@ -37,7 +46,17 @@ val solve_fractional :
     [sdp/warm-retries] metric), so a bad seed costs time but never
     quality.  With no [?v0] the result is bitwise-identical to {!solve}.
     [check] is the cooperative-cancellation hook, polled at the solve
-    boundaries. *)
+    boundaries.
+
+    The problem is compiled with its ranking groups, so the kernel stops
+    once the per-layer ranking Post_map reads has settled (see
+    {!Cpla_sdp.Kernel.solve_into}).  Telemetry, per kernel run (a warm
+    attempt and its cold retry are two runs): histograms [sdp/outer-rounds],
+    [sdp/lbfgs-iters] (summed over the rounds) and [sdp/final-violation]
+    (log10 of the final max violation; samples above the stall threshold
+    land in its overflow), and the counter [sdp/ranked-exits].  Per call,
+    [sdp/stalled] counts a final (cold) solve that still ended above the
+    stall threshold. *)
 
 val solve :
   options:Cpla_sdp.Solver.options ->

@@ -12,9 +12,10 @@ type result = {
    the curvature memory is a ring of reusable rows instead of a cons list,
    the evaluator writes its value and gradient into caller-provided storage
    (a float returned from an unknown closure would be boxed per call), and
-   every vector op is a Vec prefix variant.  The floating-point operation
-   sequence mirrors [minimize] exactly, so on identical inputs the two
-   produce bitwise-equal iterates. *)
+   every vector op is a Vec prefix variant or a fused pass doing the same
+   per-cell arithmetic.  The floating-point operation sequence mirrors
+   [minimize] exactly, so on identical inputs the two produce bitwise-equal
+   iterates (a QCheck property in test/test_numeric_props.ml). *)
 
 module Ws = struct
   type t = {
@@ -28,14 +29,14 @@ module Ws = struct
     mutable xt : float array;       (* line-search trial point *)
     mutable s_mem : float array array;  (* ring rows: x-step *)
     mutable y_mem : float array array;  (* ring rows: gradient step *)
-    rho : float array;
+    mutable s_new : float array;    (* candidate pair, swapped into the ring *)
+    mutable y_new : float array;    (* only once its curvature is accepted *)
+    rho : float array;        (* per ring slot: 1 / sᵀy *)
+    sy : float array;         (* per ring slot: sᵀy and yᵀy, computed once *)
+    yy : float array;         (* when the pair is accepted *)
     alpha : float array;
     fx_out : float array;     (* evaluator writes f here (cell 0) *)
-    (* results of the last [minimize] *)
-    mutable f : float;
-    mutable grad_norm : float;
-    mutable iterations : int;
-    mutable converged : bool;
+    mutable iterations : int; (* of the last [minimize] *)
   }
 
   let create ?(memory = 8) () =
@@ -51,13 +52,14 @@ module Ws = struct
       xt = [||];
       s_mem = Array.make memory [||];
       y_mem = Array.make memory [||];
+      s_new = [||];
+      y_new = [||];
       rho = Array.make memory 0.0;
+      sy = Array.make memory 0.0;
+      yy = Array.make memory 0.0;
       alpha = Array.make memory 0.0;
       fx_out = Array.make 1 0.0;
-      f = 0.0;
-      grad_norm = 0.0;
       iterations = 0;
-      converged = false;
     }
 
   let reserve ws n =
@@ -77,6 +79,8 @@ module Ws = struct
           ws.s_mem.(i) <- Array.make cap 0.0;
           ws.y_mem.(i) <- Array.make cap 0.0
         done;
+        ws.s_new <- Array.make cap 0.0;
+        ws.y_new <- Array.make cap 0.0;
         ws.cap <- cap
       end [@cpla.allow "alloc-in-kernel"]
 
@@ -86,28 +90,52 @@ module Ws = struct
   let ring_slot memory head k = (head - 1 - k + (2 * memory)) mod memory
   [@@cpla.zero_alloc]
 
+  (* [d <- d + alpha·x] over the first [n] cells, returning [z·d] of the
+     updated [d] from the same pass: one pair's update fused with the next
+     pair's inner product, each in [axpy_n] / [dot_n]'s own operation
+     order.  Callers pass buffers of >= n cells. *)
+  let axpy_dot n alpha x d z =
+    let acc = ref 0.0 in
+    for j = 0 to n - 1 do
+      let dj = Array.unsafe_get d j +. (alpha *. Array.unsafe_get x j) in
+      Array.unsafe_set d j dj;
+      acc := !acc +. (Array.unsafe_get z j *. dj)
+    done;
+    !acc
+
   (* Two-loop recursion into [ws.d]; the ring holds [count] pairs, newest at
      slot [head - 1].  Identical arithmetic to [direction] below: newest
      pair first, gamma scaling from the newest pair, reverse pass oldest
-     first, final negation. *)
+     first, final negation.  Each pass over [d] applies one pair's update
+     and takes the next pair's inner product ([axpy_dot]); the newest
+     pair's sᵀy and yᵀy come from the ring instead of being recomputed. *)
   let direction_ws ws ~n ~head ~count =
     Vec.copy_n n ws.g ws.d;
-    for k = 0 to count - 1 do
-      let i = ring_slot ws.memory head k in
-      let a = ws.rho.(i) *. Vec.dot_n n ws.s_mem.(i) ws.d in
-      ws.alpha.(i) <- a;
-      Vec.axpy_n ~alpha:(-.a) n ws.y_mem.(i) ws.d
-    done;
     if count > 0 then begin
       let i0 = ring_slot ws.memory head 0 in
-      let yy = Vec.dot_n n ws.y_mem.(i0) ws.y_mem.(i0) in
-      if yy > 0.0 then Vec.scale_n (Vec.dot_n n ws.s_mem.(i0) ws.y_mem.(i0) /. yy) n ws.d
+      let a = ref (ws.rho.(i0) *. Vec.dot_n n ws.s_mem.(i0) ws.d) in
+      for k = 0 to count - 1 do
+        let i = ring_slot ws.memory head k in
+        ws.alpha.(i) <- !a;
+        if k < count - 1 then begin
+          let next = ring_slot ws.memory head (k + 1) in
+          a := ws.rho.(next) *. axpy_dot n (-. !a) ws.y_mem.(i) ws.d ws.s_mem.(next)
+        end
+        else Vec.axpy_n ~alpha:(-. !a) n ws.y_mem.(i) ws.d
+      done;
+      if ws.yy.(i0) > 0.0 then Vec.scale_n (ws.sy.(i0) /. ws.yy.(i0)) n ws.d;
+      let oldest = ring_slot ws.memory head (count - 1) in
+      let beta = ref (ws.rho.(oldest) *. Vec.dot_n n ws.y_mem.(oldest) ws.d) in
+      for k = count - 1 downto 0 do
+        let i = ring_slot ws.memory head k in
+        let c = ws.alpha.(i) -. !beta in
+        if k > 0 then begin
+          let next = ring_slot ws.memory head (k - 1) in
+          beta := ws.rho.(next) *. axpy_dot n c ws.s_mem.(i) ws.d ws.y_mem.(next)
+        end
+        else Vec.axpy_n ~alpha:c n ws.s_mem.(i) ws.d
+      done
     end;
-    for k = count - 1 downto 0 do
-      let i = ring_slot ws.memory head k in
-      let beta = ws.rho.(i) *. Vec.dot_n n ws.y_mem.(i) ws.d in
-      Vec.axpy_n ~alpha:(ws.alpha.(i) -. beta) n ws.s_mem.(i) ws.d
-    done;
     Vec.scale_n (-1.0) n ws.d
   [@@cpla.zero_alloc]
 
@@ -138,8 +166,14 @@ module Ws = struct
       Vec.copy_n n ws.g ws.g0;
       let step = ref 1.0 and accepted = ref false and tries = ref 0 in
       while (not !accepted) && !tries < 30 do
-        Vec.copy_n n ws.x0 ws.xt;
-        Vec.axpy_n ~alpha:!step n ws.d ws.xt;
+        (* xt <- x0 + step·d in one pass: the [copy_n; axpy_n] pair of
+           [minimize] fused, same per-cell arithmetic; every buffer holds
+           >= n cells after [reserve] *)
+        let alpha = !step in
+        for i = 0 to n - 1 do
+          Array.unsafe_set ws.xt i
+            (Array.unsafe_get ws.x0 i +. (alpha *. Array.unsafe_get ws.d i))
+        done;
         eval ws.xt ws.gt;
         let value = ws.fx_out.(0) in
         if value <= f0 +. (1e-4 *. !step *. slope) then begin
@@ -155,12 +189,30 @@ module Ws = struct
       done;
       if not !accepted then converged := true (* line search stalled: local flat *)
       else begin
-        let i = !head in
-        Vec.sub_n n x ws.x0 ws.s_mem.(i);
-        Vec.sub_n n ws.g ws.g0 ws.y_mem.(i);
-        let sy = Vec.dot_n n ws.s_mem.(i) ws.y_mem.(i) in
+        (* s = x - x0, y = g - g0, sᵀy and yᵀy in one pass, each in
+           [sub_n] / [dot_n]'s operation order *)
+        let sy_acc = ref 0.0 and yy_acc = ref 0.0 in
+        for j = 0 to n - 1 do
+          let sj = Array.unsafe_get x j -. Array.unsafe_get ws.x0 j in
+          let yj = Array.unsafe_get ws.g j -. Array.unsafe_get ws.g0 j in
+          Array.unsafe_set ws.s_new j sj;
+          Array.unsafe_set ws.y_new j yj;
+          sy_acc := !sy_acc +. (sj *. yj);
+          yy_acc := !yy_acc +. (yj *. yj)
+        done;
+        let sy = !sy_acc in
         if sy > 1e-12 then begin
+          (* the pair enters the ring by a row swap, so a rejected pair
+             never overwrites the oldest live one ([minimize] drops it) *)
+          let i = !head in
+          let s_old = ws.s_mem.(i) and y_old = ws.y_mem.(i) in
+          ws.s_mem.(i) <- ws.s_new;
+          ws.y_mem.(i) <- ws.y_new;
+          ws.s_new <- s_old;
+          ws.y_new <- y_old;
           ws.rho.(i) <- 1.0 /. sy;
+          ws.sy.(i) <- sy;
+          ws.yy.(i) <- !yy_acc;
           head := (!head + 1) mod ws.memory;
           count := min (!count + 1) ws.memory
         end;
@@ -168,17 +220,11 @@ module Ws = struct
       end;
       incr iter
     done;
-    ws.f <- !fx;
-    ws.grad_norm <- Vec.norm_inf_n n ws.g;
-    ws.iterations <- !iter;
-    ws.converged <- !converged
+    ws.iterations <- !iter
   [@@cpla.zero_alloc]
 
   let fx_out ws = ws.fx_out
-  let f ws = ws.f
-  let grad_norm ws = ws.grad_norm
   let iterations ws = ws.iterations
-  let converged ws = ws.converged
 end
 
 (* Two-loop recursion computing the search direction -H·g from the stored

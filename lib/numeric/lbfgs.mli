@@ -52,23 +52,12 @@ module Ws : sig
   (** [minimize ws ~n ~eval x] minimises over the first [n] cells of [x],
       updating [x] in place.  [eval x grad_out] must write the objective
       into [fx_out ws] (cell 0) and the gradient into [grad_out.(0..n-1)].
-      Results are left in the accessors below. *)
+      [x] itself is the result; {!iterations} reports the work done. *)
 
   val fx_out : t -> float array
   (** The 1-cell buffer the evaluator writes the objective value into. *)
 
-  (** Scalar results of the last [minimize] (the SDP kernel tracks its own
-      convergence state; these are extension points for other callers). *)
-
-  val f : t -> float
-    [@@cpla.allow "unused-export"]
-
-  val grad_norm : t -> float
-    [@@cpla.allow "unused-export"]
-
   val iterations : t -> int
-    [@@cpla.allow "unused-export"]
-
-  val converged : t -> bool
-    [@@cpla.allow "unused-export"]
+  (** Iterations performed by the last [minimize] (as [result.iterations]
+      of {!val-minimize}). *)
 end

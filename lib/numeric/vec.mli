@@ -1,8 +1,9 @@
 (** Dense float vectors.
 
     Thin wrappers over [float array] providing the handful of BLAS-1 style
-    operations the solvers need; all operations are bounds-checked through
-    the array primitives and allocate only where documented. *)
+    operations the solvers need; all operations are bounds-checked (the
+    prefix variants once per call, against [n]) and allocate only where
+    documented. *)
 
 type t = float array
 

@@ -15,9 +15,18 @@ type compiled
 (** A problem flattened for the kernel; immutable, safe to share across
     domains. *)
 
-val compile : rank:int -> Problem.t -> compiled
+val compile : ?groups:int array -> rank:int -> Problem.t -> compiled
 (** Flatten a problem at the given factor rank ([rank <= 0] selects the
-    automatic ≈√(2m) rank, capped as in [Solver]). *)
+    automatic ≈√(2m) rank, capped as in [Solver]).
+
+    [groups.(i)] names the ranking group of diagonal index [i] (the
+    candidate layer of an assignment variable), or [-1] for an index whose
+    value nobody ranks (a slack).  A problem compiled with groups gets the
+    ranked exit of {!solve_into}; without them [solve_into] runs the full
+    augmented-Lagrangian loop.
+
+    @raise Invalid_argument if an entry index is out of range (see
+    {!Problem.create}) or [groups] does not have length [dim]. *)
 
 val dims : compiled -> int * int
 (** [(dim, resolved rank)] of a compiled problem. *)
@@ -52,7 +61,14 @@ val solve_into :
     only on workspace growth (plus one evaluator closure per call).
     [?v0] warm-starts the factor iterate from a previous solve's flat V;
     it is honoured only when [Array.length v0 = dim * rank], otherwise the
-    deterministic gaussian cold start is used. *)
+    deterministic gaussian cold start is used.
+
+    {b Ranked exit.}  For a problem compiled with groups, the loop stops
+    after outer round k >= 2 when (a) the order of the clamped values
+    [max 0 (min 1 x_ii)] within every group equals the order after round
+    k-1 — descending value, NaN last, ties by ascending index, the order
+    [Cpla.Post_map] ranks candidates in — and (b) the round's max violation
+    is <= [100 · feas_tol].  {!ranked_exit} reports whether it fired. *)
 
 val v : ws -> float array
 (** Flat row-major factor of the last solve: V_{i,c} at [(i*r)+c].  Valid
@@ -61,3 +77,10 @@ val v : ws -> float array
 val objective : ws -> float
 val max_violation : ws -> float
 val outer_rounds : ws -> int
+
+val lbfgs_iters : ws -> int
+(** L-BFGS iterations summed over the outer rounds of the last solve. *)
+
+val ranked_exit : ws -> bool
+(** Whether the last solve stopped on the ranked exit, i.e. before both
+    [feas_tol] and [max_outer] would have ended it. *)

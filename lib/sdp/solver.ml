@@ -50,9 +50,9 @@ let kernel_options (o : options) =
    factor for consumers that want X entries.  Passing [?ws] reuses a
    workspace across solves — the batched driver path holds one per
    domain. *)
-let solve ?(options = default_options) ?ws ?v0 (problem : Problem.t) =
+let solve ?(options = default_options) ?ws ?v0 ?groups (problem : Problem.t) =
   let ws = match ws with Some w -> w | None -> Kernel.ws_create () in
-  let compiled = Kernel.compile ~rank:options.rank problem in
+  let compiled = Kernel.compile ?groups ~rank:options.rank problem in
   let dim, r = Kernel.dims compiled in
   let x_diag = Array.make dim 0.0 in
   Kernel.solve_into ?v0 ws compiled ~options:(kernel_options options) ~x_diag;

@@ -30,17 +30,22 @@ type result = {
   outer_rounds : int;
 }
 
+val kernel_options : options -> Kernel.options
+(** The options minus the rank, which {!Kernel.compile} takes. *)
+
 type ws = Kernel.ws
 (** Reusable solve workspace; see {!Kernel.ws}. *)
 
 val ws_create : unit -> ws
 
-val solve : ?options:options -> ?ws:ws -> ?v0:float array -> Problem.t -> result
+val solve :
+  ?options:options -> ?ws:ws -> ?v0:float array -> ?groups:int array -> Problem.t -> result
 (** [?ws] reuses a workspace across solves (one per domain); omitting it
     allocates a fresh one.  Results are independent of workspace reuse.
     [?v0] warm-starts the Burer–Monteiro factor from a previous solve's
     flat row-major V (see {!Kernel.solve_into}); a length mismatch falls
-    back to the deterministic cold start. *)
+    back to the deterministic cold start.  [?groups] enables the ranked
+    exit (see {!Kernel.compile}). *)
 
 val x_entry : result -> int -> int -> float
   [@@cpla.allow "unused-export"]

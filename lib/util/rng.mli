@@ -28,7 +28,6 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
-  [@@cpla.allow "unused-export"]
 (** A fair coin flip. *)
 
 val gaussian : t -> float

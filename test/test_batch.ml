@@ -13,14 +13,14 @@ let rng_seed = 20160607
 (* Assignment-style SDP (the partition workload shape): [nvars] segments
    with [k] candidates each, random diagonal costs, a few off-diagonal
    couplings, and one sum-to-one constraint per segment. *)
-let random_sdp rng ~nvars ~k =
+let random_sdp ?(couplings = 1) rng ~nvars ~k =
   let dim = nvars * k in
   let e i j v = { Problem.i; j; v } in
   let cost = ref [] in
   for d = 0 to dim - 1 do
     cost := e d d (Cpla_util.Rng.float rng 10.0) :: !cost
   done;
-  for _ = 1 to nvars do
+  for _ = 1 to couplings * nvars do
     let i = Cpla_util.Rng.int rng dim and j = Cpla_util.Rng.int rng dim in
     let lo = min i j and hi = max i j in
     if lo <> hi then cost := e lo hi (Cpla_util.Rng.float rng 2.0 -. 1.0) :: !cost
@@ -214,16 +214,7 @@ let bytes_per_run f ~runs =
 let test_sdp_alloc_budget () =
   let rng = Cpla_util.Rng.create (rng_seed + 4) in
   let p = random_sdp rng ~nvars:4 ~k:3 in
-  let opts =
-    {
-      Kernel.max_outer = sdp_options.Solver.max_outer;
-      inner_iters = sdp_options.Solver.inner_iters;
-      sigma0 = sdp_options.Solver.sigma0;
-      sigma_growth = sdp_options.Solver.sigma_growth;
-      feas_tol = sdp_options.Solver.feas_tol;
-      seed = sdp_options.Solver.seed;
-    }
-  in
+  let opts = Solver.kernel_options sdp_options in
   let compiled = Kernel.compile ~rank:sdp_options.Solver.rank p in
   let dim, _ = Kernel.dims compiled in
   let ws = Kernel.ws_create () in
@@ -316,6 +307,196 @@ let test_frame_alloc_budget () =
     (Printf.sprintf "frame decode allocates %.0f B/run (budget 8192)" per_run)
     true (per_run < 8192.0)
 
+(* ---- golden: the kernel's arithmetic is pinned ------------------------------
+
+   Kernel.solve_into on seeded random problems compiled without ranking
+   groups, checked against values recorded (as %h hex floats) before the
+   inner loops were rewritten with hoisted bounds checks, a fused line-search
+   trial point and once-per-round residuals.  The recording already
+   includes the L-BFGS curvature-ring fix (a rejected pair no longer
+   overwrites the oldest live one), which changes the first three cases;
+   the rewrite itself must not change a bit.  The cases cover early
+   convergence, a run capped at max_outer, a multi-round run, and
+   max_outer = 0 (no rounds: residuals computed after the loop). *)
+
+type golden = {
+  g_seed : int;
+  nvars : int;
+  k : int;
+  couplings : int;
+  g_max_outer : int;
+  g_inner_iters : int;
+  x_diag : string;  (* space-separated %h values *)
+  objective : string;
+  max_violation : string;
+  rounds : int;
+}
+
+let goldens =
+  [
+    {
+      g_seed = 1;
+      nvars = 3;
+      k = 3;
+      couplings = 1;
+      g_max_outer = 8;
+      g_inner_iters = 100;
+      x_diag =
+        "0x1.72cfe3af3e474p-8 0x1.fd1a602292b0fp-1 \
+         0x1.e6afecbda2eecp-102 0x1.913526b36eaaep-69 \
+         0x1.573d684869a1ep-81 0x1.fffffff6987dp-1 \
+         0x1.232219f74d96ap-100 0x1.ffe8dc00f3fcfp-1 \
+         0x1.723f9f8e0e2a2p-13";
+      objective = "0x1.059ade77ff027p+3";
+      max_violation = "0x1.60ed28p-29";
+      rounds = 2;
+    };
+    {
+      g_seed = 2;
+      nvars = 4;
+      k = 4;
+      couplings = 1;
+      g_max_outer = 8;
+      g_inner_iters = 100;
+      x_diag =
+        "0x1.a62218887bf74p-58 0x1.fffffff5f2838p-1 \
+         0x1.737d7b5831f1cp-47 0x1.0c80c4417deefp-52 \
+         0x1.0000000699ffep+0 0x1.1cd03603c3b66p-56 \
+         0x1.b0916f91feb87p-61 0x1.6c7712b2c0483p-71 \
+         0x1.578816aab5032p-69 0x1.95aee863c4e28p-68 \
+         0x1.016ed812d436dp-61 0x1.fffffff69089cp-1 \
+         0x1.e9e6c02a2e20fp-59 0x1.d9e586f50a9fdp-58 \
+         0x1.fffffff4de5dbp-1 0x1.4cd17ba9c0e35p-52";
+      objective = "0x1.5edb7841a9876p+3";
+      max_violation = "0x1.a67ff8p-30";
+      rounds = 2;
+    };
+    {
+      g_seed = 3;
+      nvars = 6;
+      k = 3;
+      couplings = 1;
+      g_max_outer = 8;
+      g_inner_iters = 100;
+      x_diag =
+        "0x1.7183ba4c59f6p-94 0x1.66c4f5f9aa0f2p-101 \
+         0x1.fff9fdbf3bd48p-1 0x1.00000000818b7p+0 \
+         0x1.29a70e8c16bfap-90 0x1.78836f6c9a0bap-94 \
+         0x1.ddceee15dfa5p-1 0x1.7a6167d33e7d8p-130 \
+         0x1.11886f066ca17p-4 0x1.57ce2032c8d83p-9 \
+         0x1.360b84227d316p-75 0x1.feae365bd05cbp-1 \
+         0x1.ff2e4a562699cp-1 0x1.a36b4bb1b03b6p-10 \
+         0x1.9a8d9de1f453fp-48 0x1.fcfa7d49e1372p-7 \
+         0x1.f80c16094ee78p-1 0x1.0dc1d6bbd2e74p-46";
+      objective = "0x1.f91b9014fa2a4p+1";
+      max_violation = "0x1.811f00c96p-15";
+      rounds = 3;
+    };
+    {
+      g_seed = 4;
+      nvars = 5;
+      k = 2;
+      couplings = 1;
+      g_max_outer = 0;
+      g_inner_iters = 100;
+      x_diag =
+        "0x1.b7d00c931fd5ap-1 0x1.d92259a42fec1p-3 0x1.b7797d48e554bp-2 \
+         0x1.93b7465b63172p-1 0x1.11aee5ee3b13p-3 0x1.5c1c4d26bf3c5p-2 \
+         0x1.44137a79cdf3cp-2 0x1.b1f26cad6103fp-2 0x1.939906910b747p-2 \
+         0x1.52664e4d7453p-2";
+      objective = "0x1.82216fb763a0ap+4";
+      max_violation = "0x1.0d861ff1119d2p-1";
+      rounds = 0;
+    };
+    {
+      g_seed = 5;
+      nvars = 8;
+      k = 3;
+      couplings = 3;
+      g_max_outer = 8;
+      g_inner_iters = 15;
+      x_diag =
+        "0x1.ffdb9b909524ap-1 0x1.81b1356e6024cp-13 \
+         0x1.1936ccdf6cec7p-13 0x1.e29f8b3b0c47fp-1 \
+         0x1.d456a9436cfcbp-5 0x1.a97d74105a9d6p-13 \
+         0x1.1d7222c8e745cp-14 0x1.59bb83a2c427p-39 \
+         0x1.00011d6068c0cp+0 0x1.cd17575d0b29dp-1 0x1.941c49ff98b45p-4 \
+         0x1.26759a4d90c7ap-24 0x1.72d1ae27c2eddp-26 \
+         0x1.fd5791f103371p-1 0x1.51d94dfeb547fp-8 0x1.58156356bcf62p-6 \
+         0x1.f518fe400a3d9p-1 0x1.39cf41f0530f1p-12 \
+         0x1.aa38384f8b37p-13 0x1.fff838443f843p-1 \
+         0x1.5086b217586dcp-15 0x1.fff60f5c4c42p-1 \
+         0x1.54391b222ab48p-16 0x1.17fef2be55ccp-15";
+      objective = "0x1.a0d480dcb23e5p+3";
+      max_violation = "0x1.9474585a2cp-11";
+      rounds = 8;
+    };
+    {
+      g_seed = 6;
+      nvars = 10;
+      k = 4;
+      couplings = 3;
+      g_max_outer = 12;
+      g_inner_iters = 25;
+      x_diag =
+        "0x1.97cca944cab3cp-24 0x1.f5cbd1e2d0fa5p-1 \
+         0x1.460f919291de1p-6 0x1.80e81dc8f8f84p-16 \
+         0x1.3dea893625b1cp-7 0x1.fa6141cc6b2a8p-1 \
+         0x1.72aa31f4e790bp-13 0x1.2220d36ceb7dap-10 \
+         0x1.fff4e8386a215p-1 0x1.3cab719b7437ap-17 \
+         0x1.694c232347016p-40 0x1.3d85817016bfp-14 \
+         0x1.2f245f20428fcp-9 0x1.3e396092fd84fp-30 \
+         0x1.0335b080c91dp-14 0x1.fec9bd28367bp-1 0x1.a9ac6ab3c948fp-24 \
+         0x1.67034b090713cp-1 0x1.99af326d39abp-15 0x1.31f0526cf6ab2p-2 \
+         0x1.a65c45d099092p-7 0x1.2453eafb5ecd7p-7 \
+         0x1.3ab85b79862d7p-47 0x1.f4d4351613005p-1 \
+         0x1.ffdfa87887a66p-1 0x1.b53bc6f4c7333p-39 \
+         0x1.ad3a247219d6cp-14 0x1.11ce5c9baba94p-13 \
+         0x1.466a217942cd3p-22 0x1.dc5f3755b1d4ep-13 \
+         0x1.2fc294c45cd56p-4 0x1.d9e63c39ccf6ep-1 \
+         0x1.cfbd5310c14e2p-51 0x1.2628e2ed9ff3bp-9 \
+         0x1.fed98ba81313ap-1 0x1.78dc5bb36ab81p-40 \
+         0x1.f60f38460ec8cp-1 0x1.ae503cf0c0683p-34 \
+         0x1.3d9696ebc396dp-6 0x1.416b7e8dd571dp-18";
+      objective = "0x1.585279f4da3abp+4";
+      max_violation = "0x1.d0837083c8p-16";
+      rounds = 6;
+    };
+  ]
+
+let test_kernel_golden () =
+  List.iter
+    (fun g ->
+      let rng = Cpla_util.Rng.create (20161 + g.g_seed) in
+      let p = random_sdp ~couplings:g.couplings rng ~nvars:g.nvars ~k:g.k in
+      let options =
+        {
+          Kernel.max_outer = g.g_max_outer;
+          inner_iters = g.g_inner_iters;
+          sigma0 = 10.0;
+          sigma_growth = 4.0;
+          feas_tol = 1e-4;
+          seed = 7;
+        }
+      in
+      let c = Kernel.compile ~rank:6 p in
+      let dim, _ = Kernel.dims c in
+      let ws = Kernel.ws_create () in
+      let x = Array.make dim 0.0 in
+      Kernel.solve_into ws c ~options ~x_diag:x;
+      let hex = Printf.sprintf "%h" in
+      let name s = Printf.sprintf "seed %d: %s" g.g_seed s in
+      Alcotest.(check (list string))
+        (name "x_diag")
+        (String.split_on_char ' ' g.x_diag)
+        (Array.to_list (Array.map hex x));
+      Alcotest.(check string) (name "objective") g.objective (hex (Kernel.objective ws));
+      Alcotest.(check string) (name "max_violation") g.max_violation
+        (hex (Kernel.max_violation ws));
+      Alcotest.(check int) (name "outer rounds") g.rounds (Kernel.outer_rounds ws);
+      Alcotest.(check bool) (name "no ranked exit without groups") false (Kernel.ranked_exit ws))
+    goldens
+
 (* ---- static/dynamic agreement ----------------------------------------------- *)
 
 (* Every [@@cpla.zero_alloc] annotation in the tree must be covered by a
@@ -390,4 +571,5 @@ let suite =
     Alcotest.test_case "lbfgs ws allocation budget" `Quick test_lbfgs_alloc_budget;
     Alcotest.test_case "frame decode allocation budget" `Quick test_frame_alloc_budget;
     Alcotest.test_case "zero_alloc census: static = dynamic" `Quick test_zero_alloc_census;
+    Alcotest.test_case "sdp kernel golden (no groups)" `Quick test_kernel_golden;
   ]

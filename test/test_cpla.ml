@@ -213,12 +213,170 @@ let test_sdp_problem_wellformed () =
   List.iter
     (fun f ->
       if Formulation.var_count f > 0 then begin
-        let p, index = Sdp_method.build_problem f in
+        let { Sdp_method.problem = p; index; groups } = Sdp_method.build_problem f in
         Alcotest.(check bool) "dim covers candidates" true
           (p.Cpla_sdp.Problem.dim >= Formulation.candidate_total f);
-        ignore (index 0 0)
+        Alcotest.(check int) "one group per row" p.Cpla_sdp.Problem.dim (Array.length groups);
+        Array.iteri
+          (fun vi (v : Formulation.var) ->
+            Array.iteri
+              (fun ci layer ->
+                Alcotest.(check int) "candidate grouped by its layer" layer
+                  groups.(index vi ci))
+              v.Formulation.cands)
+          f.Formulation.vars;
+        Alcotest.(check int) "slacks unranked"
+          (p.Cpla_sdp.Problem.dim - Formulation.candidate_total f)
+          (Array.fold_left (fun a g -> if g < 0 then a + 1 else a) 0 groups)
       end)
     fs
+
+(* ---- SDP ranked exit --------------------------------------------------------- *)
+
+(* A random partition formulation straight from the record types: up to 9
+   vars over 4 layers with 1-3 consecutive candidate layers each, random
+   timing costs, via pairs with and without a capacity penalty, and random
+   capacity rows (limit 0 included, which can leave the relaxation
+   infeasible and the solve stalled). *)
+let random_formulation seed =
+  let module R = Cpla_util.Rng in
+  let rng = R.create seed in
+  let nl = 4 in
+  let nvars = R.int_in rng 2 9 in
+  let vars =
+    Array.init nvars (fun vi ->
+        let k = R.int_in rng 1 3 in
+        let first = R.int rng nl in
+        {
+          Formulation.net = vi;
+          seg = 0;
+          dir = Cpla_grid.Tech.Horizontal;
+          cands = Array.init k (fun c -> (first + c) mod nl);
+          ts = Array.init k (fun _ -> 50.0 +. R.float rng 950.0);
+          edges = [||];
+        })
+  in
+  let ncands vi = Array.length vars.(vi).Formulation.cands in
+  let pairs =
+    Array.init (R.int rng nvars) (fun _ ->
+        let a = R.int rng nvars in
+        let b = (a + 1 + R.int rng (nvars - 1)) mod nvars in
+        let table f = Array.init (ncands a) (fun _ -> Array.init (ncands b) (fun _ -> f ())) in
+        {
+          Formulation.a;
+          b;
+          tile = (0, 0);
+          tv = table (fun () -> R.float rng 300.0);
+          lambda = table (fun () -> if R.bool rng then 0.0 else R.float rng 100.0);
+        })
+  in
+  let cap_rows =
+    List.init nl Fun.id
+    |> List.filter_map (fun layer ->
+           let members =
+             List.concat
+               (List.init nvars (fun vi ->
+                    List.filter_map
+                      (fun ci ->
+                        if vars.(vi).Formulation.cands.(ci) = layer && R.bool rng then
+                          Some (vi, ci)
+                        else None)
+                      (List.init (ncands vi) Fun.id)))
+           in
+           if members = [] then None
+           else
+             Some
+               {
+                 Formulation.edge = { Cpla_grid.Graph.dir = Cpla_grid.Tech.Horizontal; x = 0; y = 0 };
+                 layer;
+                 limit = R.int_in rng 0 (List.length members);
+                 members;
+               })
+    |> Array.of_list
+  in
+  { Formulation.vars; pairs; cap_rows; via_rows = [||] }
+
+(* Post_map's Alg. 1 ranking of a solution: per layer (ascending), the vars
+   with that candidate ordered by clamped value descending, NaN last, ties
+   by ascending var index. *)
+let post_map_order (f : Formulation.t) index x_diag =
+  let x vi ci = Float.max 0.0 (Float.min 1.0 x_diag.(index vi ci)) in
+  List.init 8 (fun layer ->
+      let ranked = ref [] in
+      Array.iteri
+        (fun vi (v : Formulation.var) ->
+          Array.iteri
+            (fun ci l -> if l = layer then ranked := (x vi ci, vi) :: !ranked)
+            v.Formulation.cands)
+        f.Formulation.vars;
+      List.sort
+        (fun (a, va) (b, vb) ->
+          match (Float.is_nan a, Float.is_nan b) with
+          | true, true -> Int.compare va vb
+          | true, false -> 1
+          | false, true -> -1
+          | false, false ->
+              let c = Float.compare b a in
+              if c <> 0 then c else Int.compare va vb)
+        !ranked
+      |> List.map snd)
+
+let ranked_exits = Atomic.make 0
+
+(* Whenever the ranked exit fires it saved rounds, stayed within the stall
+   threshold, and returned exactly the state the plain loop reaches at that
+   round, whose Post_map order equals the previous round's.  When it does
+   not fire, the grouped solve is the plain solve bit for bit. *)
+let ranked_exit_property =
+  QCheck.Test.make ~name:"sdp ranked exit: settled order, fewer rounds, no stall" ~count:60
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 2))
+    (fun (seed, budget) ->
+      let f = random_formulation seed in
+      let { Sdp_method.problem; index; groups } = Sdp_method.build_problem f in
+      let sdp = Config.default.Config.sdp_options in
+      let options =
+        {
+          (Cpla_sdp.Solver.kernel_options sdp) with
+          Cpla_sdp.Kernel.inner_iters = [| 10; 25; 100 |].(max 0 (min 2 budget));
+        }
+      in
+      let rank = sdp.Cpla_sdp.Solver.rank in
+      let plain = Cpla_sdp.Kernel.compile ~rank problem in
+      let grouped = Cpla_sdp.Kernel.compile ~groups ~rank problem in
+      let dim, _ = Cpla_sdp.Kernel.dims plain in
+      let ws = Cpla_sdp.Kernel.ws_create () in
+      let solve ?(max_outer = options.Cpla_sdp.Kernel.max_outer) c =
+        let x = Array.make dim 0.0 in
+        Cpla_sdp.Kernel.solve_into ws c ~options:{ options with Cpla_sdp.Kernel.max_outer } ~x_diag:x;
+        ( Array.map Int64.bits_of_float x,
+          x,
+          Cpla_sdp.Kernel.outer_rounds ws,
+          Cpla_sdp.Kernel.max_violation ws,
+          Cpla_sdp.Kernel.ranked_exit ws )
+      in
+      let full_bits, _, full_rounds, _, full_exit = solve plain in
+      let bits, x, rounds, viol, exited = solve grouped in
+      (not full_exit)
+      &&
+      if exited then begin
+        Atomic.incr ranked_exits;
+        let prefix_bits, _, _, _, _ = solve ~max_outer:rounds plain in
+        let _, before, _, _, _ = solve ~max_outer:(rounds - 1) plain in
+        rounds >= 2 && rounds < full_rounds
+        && viol <= 100.0 *. options.Cpla_sdp.Kernel.feas_tol
+        && bits = prefix_bits
+        && post_map_order f index x = post_map_order f index before
+      end
+      else bits = full_bits && rounds = full_rounds)
+
+let test_sdp_ranked_exit () =
+  Atomic.set ranked_exits 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 20160605 |]) ranked_exit_property;
+  (* the property is vacuous unless the exit actually fires *)
+  Alcotest.(check bool)
+    (Printf.sprintf "ranked exit fired (%d of 60)" (Atomic.get ranked_exits))
+    true
+    (Atomic.get ranked_exits > 0)
 
 let test_sdp_x_values_in_range () =
   let asg = build_design () in
@@ -452,6 +610,7 @@ let suite =
     Alcotest.test_case "ilp model valid" `Quick test_ilp_model_valid;
     Alcotest.test_case "sdp problem wellformed" `Quick test_sdp_problem_wellformed;
     Alcotest.test_case "sdp x values in range" `Slow test_sdp_x_values_in_range;
+    Alcotest.test_case "sdp ranked exit property" `Quick test_sdp_ranked_exit;
     Alcotest.test_case "post-map respects capacity" `Quick test_post_map_respects_capacity;
     Alcotest.test_case "post-map prefers high x" `Quick test_post_map_prefers_high_x;
     Alcotest.test_case "post-map nan+tie determinism" `Quick

@@ -26,6 +26,53 @@ let lbfgs_vs_cholesky =
       let err = Vec.norm_inf (Vec.sub res.Lbfgs.x x_direct) in
       err < 1e-4)
 
+(* The workspace minimiser promises the exact floating-point operation
+   sequence of the list-based [minimize]: on the same objective it must
+   return bitwise-equal iterates after the same number of iterations.  The
+   objective is computed by one shared routine over the first [n] cells,
+   since the workspace evaluates at trial points held in buffers longer
+   than [n]. *)
+let lbfgs_ws_matches_minimize =
+  QCheck.Test.make ~name:"Lbfgs.Ws.minimize = Lbfgs.minimize bitwise" ~count:60
+    QCheck.(
+      quad (int_range 1 100000) (int_range 1 12) (int_range 1 8)
+        (pair (int_range 0 80) (int_range 0 2)))
+    (fun (seed, n, memory, (max_iter, tol_k)) ->
+      (* shrinking may step outside the generator ranges *)
+      let n = max 1 n and memory = max 1 memory and max_iter = max 0 max_iter in
+      let tol_k = max 0 (min 2 tol_k) in
+      let rng = Cpla_util.Rng.create seed in
+      let a = random_psd rng n in
+      let b = Array.init n (fun _ -> Cpla_util.Rng.gaussian rng) in
+      let x0 = Array.init n (fun _ -> Cpla_util.Rng.gaussian rng) in
+      let grad_tol = [| 1e-3; 1e-6; 1e-12 |].(tol_k) in
+      (* f(x) = ½xᵀAx − bᵀx into [g]; returns f *)
+      let quad x g =
+        let fx = ref 0.0 in
+        for i = 0 to n - 1 do
+          let s = ref 0.0 in
+          for j = 0 to n - 1 do
+            s := !s +. (Mat.get a i j *. x.(j))
+          done;
+          g.(i) <- !s -. b.(i);
+          fx := !fx +. (x.(i) *. ((0.5 *. !s) -. b.(i)))
+        done;
+        !fx
+      in
+      let f x =
+        let g = Array.make n 0.0 in
+        let fx = quad x g in
+        (fx, g)
+      in
+      let reference = Lbfgs.minimize ~memory ~max_iter ~grad_tol ~f x0 in
+      let ws = Lbfgs.Ws.create ~memory () in
+      let fx_out = Lbfgs.Ws.fx_out ws in
+      let x = Array.copy x0 in
+      Lbfgs.Ws.minimize ws ~n ~max_iter ~grad_tol ~eval:(fun v g -> fx_out.(0) <- quad v g) x;
+      let bits v = Int64.bits_of_float v in
+      Array.for_all2 (fun p q -> Int64.equal (bits p) (bits q)) reference.Lbfgs.x x
+      && reference.Lbfgs.iterations = Lbfgs.Ws.iterations ws)
+
 (* Eigenvalues shift exactly under A + tI. *)
 let eigen_shift =
   QCheck.Test.make ~name:"eigenvalues shift under diagonal offset" ~count:25
@@ -135,6 +182,7 @@ let sdp_objective_scaling =
 let suite =
   [
     QCheck_alcotest.to_alcotest lbfgs_vs_cholesky;
+    QCheck_alcotest.to_alcotest lbfgs_ws_matches_minimize;
     QCheck_alcotest.to_alcotest eigen_shift;
     QCheck_alcotest.to_alcotest eigen_trace;
     QCheck_alcotest.to_alcotest simplex_constraint_monotonicity;
