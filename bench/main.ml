@@ -159,8 +159,34 @@ let micro_tests ~design () =
            Cpla_route.Assignment.set_layer asg ~net ~seg ~layer:cur;
            Array.map (fun n -> Cpla_timing.Incremental.path_info eng n) released))
   in
+  (* The global router's maze fallback on the congested design: 32 fixed
+     queries (a source tile to a 3-tile target run 8-24 tiles away) against
+     the cost planes of the initial routing's 2-D demand, through one
+     reused workspace. *)
+  let route_maze =
+    let graph = Cpla_route.Assignment.graph asg in
+    let costs =
+      Cpla_route.Router.cost_planes ~graph ~demand:(Cpla_grid.Graph.usage_2d graph)
+    in
+    let rng = Cpla_util.Rng.create 15 in
+    let rec query () =
+      let sx = Cpla_util.Rng.int rng (width - 3) and sy = Cpla_util.Rng.int rng height in
+      let tx = Cpla_util.Rng.int rng (width - 3) and ty = Cpla_util.Rng.int rng height in
+      let d = abs (sx - tx) + abs (sy - ty) in
+      if d < 8 || d > 24 then query () else ((sx, sy), [ (tx, ty); (tx + 1, ty); (tx + 2, ty) ])
+    in
+    let queries = Array.init 32 (fun _ -> query ()) in
+    let ws = Cpla_route.Maze.ws_create () in
+    Test.make ~name:"route/maze"
+      (Staged.stage (fun () ->
+           Array.iter
+             (fun (s, targets) ->
+               ignore (Cpla_route.Maze.route ws costs ~sources:[ s ] ~targets))
+             queries))
+  in
   Test.make_grouped ~name:"kernels"
     [
+      route_maze;
       fig1_elmore;
       fig7_ilp;
       fig7_sdp;

@@ -16,6 +16,10 @@ type t = {
   (* vias.(c): via usage at the boundary between layers c and c+1, one entry
      per tile, indexed y*width+x. *)
   vias : int array array;
+  (* ascending indices of the horizontal / vertical layers, so the 2-D sums
+     walk an array instead of rebuilding the layer list per call *)
+  h_layers : int array;
+  v_layers : int array;
 }
 
 let tech t = t.tech
@@ -42,7 +46,17 @@ let create ~tech ~width ~height ~layer_capacity =
         Array.make (edge_array_size ~width ~height (Tech.layer_dir tech l)) 0)
   in
   let vias = Array.init (nl - 1) (fun _ -> Array.make (width * height) 0) in
-  { tech; width; height; cap; use_; vias }
+  let layers dir = Array.of_list (Tech.layers_of_dir tech dir) in
+  {
+    tech;
+    width;
+    height;
+    cap;
+    use_;
+    vias;
+    h_layers = layers Tech.Horizontal;
+    v_layers = layers Tech.Vertical;
+  }
 
 let in_bounds t ~x ~y = x >= 0 && x < t.width && y >= 0 && y < t.height
 
@@ -81,11 +95,23 @@ let add_usage t e ~layer delta =
   if v < 0 then invalid_arg "Graph.add_usage: usage would become negative";
   t.use_.(layer).(i) <- v
 
-let capacity_2d t e =
-  List.fold_left (fun acc l -> acc + capacity t e ~layer:l) 0 (edge_layers t e)
+(* Σ over the layers of [e]'s direction of [per_layer.(l)] at [e]'s index;
+   an edge with no layer in its direction sums to 0 without a bounds check. *)
+let sum_2d t per_layer e =
+  let ls = match e.dir with Tech.Horizontal -> t.h_layers | Tech.Vertical -> t.v_layers in
+  if Array.length ls = 0 then 0
+  else begin
+    let i = edge_index t e in
+    let acc = ref 0 in
+    for k = 0 to Array.length ls - 1 do
+      acc := !acc + per_layer.(ls.(k)).(i)
+    done;
+    !acc
+  end
 
-let usage_2d t e =
-  List.fold_left (fun acc l -> acc + usage t e ~layer:l) 0 (edge_layers t e)
+let capacity_2d t e = sum_2d t t.cap e
+
+let usage_2d t e = sum_2d t t.use_ e
 
 let tile_index t ~x ~y =
   if not (in_bounds t ~x ~y) then invalid_arg "Graph: tile out of grid";

@@ -1,6 +1,6 @@
 let dom_id () = (Domain.self () :> int)
 
-let with_ ~name ?(args = []) f =
+let with_ ~name ?(args = []) ?result_args f =
   if not (Control.enabled ()) then f ()
   else begin
     Sink.record
@@ -11,7 +11,7 @@ let with_ ~name ?(args = []) f =
     in
     match f () with
     | v ->
-        finish [];
+        finish (match result_args with None -> [] | Some g -> g v);
         v
     | exception e ->
         finish [ ("exn", Event.Str (Printexc.to_string e)) ];

@@ -8,44 +8,67 @@ type result = {
   maze_routes : int;
 }
 
-(* ---- 2-D demand bookkeeping ------------------------------------------- *)
+(* ---- 2-D demand and cost planes -------------------------------------- *)
 
-type demand = {
-  graph : Graph.t;
-  h : int array; (* horizontal unit-edge demand, indexed y*(w-1)+x *)
-  v : int array; (* vertical unit-edge demand, indexed y*w+x *)
+(* One direction's edges in the grid's edge layout (horizontal edges
+   indexed y*(w-1)+x, vertical y*w+x): the layer-aggregated capacity, fixed
+   for a routing run; the demand; and the congestion cost of crossing the
+   edge, kept in step with the demand by [demand_add] so path scoring and
+   the maze read it instead of re-deriving it per edge visit. *)
+type plane = {
+  cap : int array;
+  dem : int array;
+  cost : float array;
 }
 
-let make_demand graph =
-  let w = Graph.width graph and h = Graph.height graph in
-  { graph; h = Array.make ((w - 1) * h) 0; v = Array.make (w * (h - 1)) 0 }
-
-let demand_get d (e : Graph.edge2d) =
-  match e.dir with
-  | Tech.Horizontal -> d.h.((e.y * (Graph.width d.graph - 1)) + e.x)
-  | Tech.Vertical -> d.v.((e.y * Graph.width d.graph) + e.x)
-
-let demand_add d (e : Graph.edge2d) delta =
-  match e.dir with
-  | Tech.Horizontal ->
-      let i = (e.y * (Graph.width d.graph - 1)) + e.x in
-      d.h.(i) <- d.h.(i) + delta
-  | Tech.Vertical ->
-      let i = (e.y * Graph.width d.graph) + e.x in
-      d.v.(i) <- d.v.(i) + delta
+type planes = {
+  ph : plane;
+  pv : plane;
+  costs : Maze.costs;  (** views [ph.cost] and [pv.cost] *)
+}
 
 (* Congestion cost of crossing one 2-D edge given current demand: unit wire
    cost plus a steeply rising penalty as demand approaches capacity, and a
    large linear term once overflowed so the maze router detours. *)
-let edge_cost graph demand (e : Graph.edge2d) =
-  let cap = Graph.capacity_2d graph e in
-  let u = demand e in
+let edge_cost ~cap ~demand =
   if cap <= 0 then 1.0 +. 200.0
   else begin
-    let r = float_of_int (u + 1) /. float_of_int cap in
+    let r = float_of_int (demand + 1) /. float_of_int cap in
     if r <= 1.0 then 1.0 +. (4.0 *. (r ** 5.0))
     else 1.0 +. 30.0 +. (20.0 *. (r -. 1.0) *. float_of_int cap)
   end
+
+let make_planes graph ~demand =
+  let w = Graph.width graph and h = Graph.height graph in
+  let plane dir ~n ~row =
+    let edge i = { Graph.dir; x = i mod row; y = i / row } in
+    let cap = Array.init n (fun i -> Graph.capacity_2d graph (edge i)) in
+    let dem = Array.init n (fun i -> demand (edge i)) in
+    { cap; dem; cost = Array.init n (fun i -> edge_cost ~cap:cap.(i) ~demand:dem.(i)) }
+  in
+  let ph = plane Tech.Horizontal ~n:((w - 1) * h) ~row:(w - 1) in
+  let pv = plane Tech.Vertical ~n:(w * (h - 1)) ~row:w in
+  { ph; pv; costs = { Maze.width = w; height = h; h = ph.cost; v = pv.cost } }
+
+(* The plane holding [e] and [e]'s index in it. *)
+let locate p (e : Graph.edge2d) =
+  let w = p.costs.Maze.width in
+  match e.dir with
+  | Tech.Horizontal -> (p.ph, (e.y * (w - 1)) + e.x)
+  | Tech.Vertical -> (p.pv, (e.y * w) + e.x)
+
+let demand_add p e delta =
+  let pl, i = locate p e in
+  pl.dem.(i) <- pl.dem.(i) + delta;
+  pl.cost.(i) <- edge_cost ~cap:pl.cap.(i) ~demand:pl.dem.(i)
+
+let is_overflowed p e =
+  let pl, i = locate p e in
+  pl.dem.(i) > pl.cap.(i)
+
+let overflow_2d p =
+  let over pl = Array.fold_left ( + ) 0 (Array.mapi (fun i u -> max 0 (u - pl.cap.(i))) pl.dem) in
+  over p.ph + over p.pv
 
 (* ---- path utilities ---------------------------------------------------- *)
 
@@ -107,18 +130,28 @@ let pattern_paths (ax, ay) (bx, by) =
     l1 :: l2 :: zs
   end
 
-let path_cost cost path =
-  List.fold_left (fun acc e -> acc +. cost e) 0.0 (unit_edges_of_path path)
+(* Σ of edge costs along a tile path, accumulated in path order. *)
+let path_cost (c : Maze.costs) path =
+  let rec go acc = function
+    | (x0, y0) :: ((x1, y1) :: _ as rest) ->
+        let e =
+          if y0 = y1 then c.Maze.h.((y0 * (c.Maze.width - 1)) + min x0 x1)
+          else c.Maze.v.((min y0 y1 * c.Maze.width) + x0)
+        in
+        go (acc +. e) rest
+    | [ _ ] | [] -> acc
+  in
+  go 0.0 path
 
 (* ---- per-net routing --------------------------------------------------- *)
 
 let canonical_edge (e : Graph.edge2d) = (e.dir = Tech.Horizontal, e.x, e.y)
 
 (* Connect all pin tiles of [net] into a set of unit edges using pattern
-   routing with a maze fallback.  [cost] scores a unit edge.  Returns the
-   unit-edge list (empty when all pins share a tile) and the maze-call
-   count. *)
-let build_topology ?(steiner = false) ~width ~height ~cost net =
+   routing with a maze fallback, scoring unit edges by the cost planes
+   [costs]; [ws] is the maze workspace.  Returns the unit-edge list (empty
+   when all pins share a tile) and the maze-call count. *)
+let build_topology ?(steiner = false) ~costs ~ws net =
   let pins = Net.dedup_pins net.Net.pins in
   let pts = Array.map (fun p -> (p.Net.px, p.Net.py)) pins in
   (* optional topology refinement: Hanan-grid Steiner points join the pin
@@ -187,7 +220,7 @@ let build_topology ?(steiner = false) ~width ~height ~cost net =
         let target = match target with Some t -> t | None -> assert false in
         let candidates = List.map truncate_at_tree (pattern_paths pin target) in
         let scored =
-          List.map (fun path -> (path_cost cost path, path)) candidates
+          List.map (fun path -> (path_cost costs path, path)) candidates
           |> List.sort (fun (a, _) (b, _) -> compare a b)
         in
         let best_cost, best_path =
@@ -201,7 +234,7 @@ let build_topology ?(steiner = false) ~width ~height ~cost net =
           else begin
             incr mazes;
             let targets = Hashtbl.fold (fun p () acc -> p :: acc) covered [] in
-            match Maze.route ~width ~height ~cost ~sources:[ pin ] ~targets with
+            match Maze.route ws costs ~sources:[ pin ] ~targets with
             | Some p -> p
             | None -> best_path
           end
@@ -229,21 +262,14 @@ let tree_of_unit_edges net unit_edges =
       let keep = Array.to_list (Array.map (fun p -> (p.Net.px, p.Net.py)) net.Net.pins) in
       Some (Stree.compress ~keep tree)
 
+let cost_planes ~graph ~demand = (make_planes graph ~demand).costs
+
 let route_net ?(steiner = false) ~graph ~demand net =
-  let cost e = edge_cost graph demand e in
-  let unit_edges, _ =
-    build_topology ~steiner ~width:(Graph.width graph) ~height:(Graph.height graph) ~cost net
-  in
+  let costs = cost_planes ~graph ~demand in
+  let unit_edges, _ = build_topology ~steiner ~costs ~ws:(Maze.ws_create ()) net in
   tree_of_unit_edges net unit_edges
 
 (* ---- full design ------------------------------------------------------- *)
-
-let overflow_2d graph demand =
-  let acc = ref 0 in
-  Graph.iter_edges graph (fun e ->
-      let over = demand_get demand e - Graph.capacity_2d graph e in
-      if over > 0 then acc := !acc + over);
-  !acc
 
 let tree_unit_edges tree =
   let acc = ref [] in
@@ -257,38 +283,45 @@ let tree_unit_edges tree =
   !acc
 
 let route_all ?(rrr_passes = 1) ?(steiner = false) ~graph nets =
-  let demand = make_demand graph in
-  let cost e = edge_cost graph (demand_get demand) e in
+  let result_args r =
+    [
+      ("maze_routes", Cpla_obs.Event.Int r.maze_routes);
+      ("overflow_2d", Cpla_obs.Event.Int r.overflow_2d);
+    ]
+  in
+  Cpla_obs.Span.with_ ~name:"route/route_all"
+    ~args:[ ("nets", Cpla_obs.Event.Int (Array.length nets)) ]
+    ~result_args
+  @@ fun () ->
+  let planes = make_planes graph ~demand:(fun _ -> 0) in
+  let ws = Maze.ws_create () in
   let trees = Array.make (Array.length nets) None in
   let maze_count = ref 0 in
   let order = Array.mapi (fun i n -> (Net.hpwl n, i)) nets in
   Array.sort compare order;
   let route_one i =
     let net = nets.(i) in
-    let unit_edges, mazes =
-      build_topology ~steiner ~width:(Graph.width graph) ~height:(Graph.height graph) ~cost
-        net
-    in
+    let unit_edges, mazes = build_topology ~steiner ~costs:planes.costs ~ws net in
     maze_count := !maze_count + mazes;
-    List.iter (fun e -> demand_add demand e 1) unit_edges;
+    List.iter (fun e -> demand_add planes e 1) unit_edges;
     trees.(i) <- tree_of_unit_edges net unit_edges
   in
   Array.iter (fun (_, i) -> route_one i) order;
   (* Rip-up and reroute nets that cross overflowed 2-D edges. *)
   for _pass = 1 to rrr_passes do
-    if overflow_2d graph demand > 0 then begin
-      let is_overflowed e = demand_get demand e > Graph.capacity_2d graph e in
+    if overflow_2d planes > 0 then begin
       Array.iteri
         (fun i tree_opt ->
           match tree_opt with
           | None -> ()
           | Some tree ->
               let edges = tree_unit_edges tree in
-              if List.exists is_overflowed edges then begin
-                List.iter (fun e -> demand_add demand e (-1)) edges;
+              if List.exists (is_overflowed planes) edges then begin
+                List.iter (fun e -> demand_add planes e (-1)) edges;
                 route_one i
               end)
         trees
     end
   done;
-  { trees; overflow_2d = overflow_2d graph demand; maze_routes = !maze_count }
+  Cpla_obs.Metrics.incr ~by:!maze_count "route/maze-calls";
+  { trees; overflow_2d = overflow_2d planes; maze_routes = !maze_count }

@@ -3,8 +3,11 @@
     Plays the role NCTU-GR plays in the paper: produces the initial routing
     topology that layer assignment then works on.  Nets are routed in
     ascending-HPWL order with L/Z pattern candidates scored by a congestion
-    cost, falling back to Dijkstra maze routing when every pattern overflows;
-    an optional rip-up-and-reroute pass cleans residual 2-D overflow.
+    cost, falling back to Dijkstra maze routing ({!Maze}) when every pattern
+    overflows; an optional rip-up-and-reroute pass cleans residual 2-D
+    overflow.  Edge costs live in per-direction cost planes that are
+    updated as demand changes, so scoring a path or a maze step is an array
+    read.
 
     The router tracks 2-D demand against the layer-aggregated capacities of
     the grid; per-layer usage is installed later by the initial layer
@@ -33,3 +36,9 @@ val route_net :
   Stree.t option
 (** Route a single net against an external demand snapshot without mutating
     anything; exposed for tests and incremental use. *)
+
+val cost_planes :
+  graph:Cpla_grid.Graph.t -> demand:(Cpla_grid.Graph.edge2d -> int) -> Maze.costs
+(** The congestion cost of crossing every 2-D edge given a demand snapshot —
+    the planes [route_net] routes against and [route_all] keeps in step with
+    its own demand. *)

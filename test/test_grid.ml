@@ -37,6 +37,28 @@ let test_graph_capacity_direction () =
   Alcotest.(check int) "h edge on v layer" 0 (Graph.capacity g (he 0 0) ~layer:1);
   Alcotest.(check int) "2d capacity" 20 (Graph.capacity_2d g (he 0 0))
 
+(* The 2-D sums equal the per-layer values summed over [edge_layers], on
+   every edge of a graph with random blockages and usage. *)
+let sum_2d_property =
+  QCheck.Test.make ~count:100 ~name:"capacity_2d / usage_2d = per-layer sums"
+    QCheck.(triple (int_range 2 5) (int_range 2 8) small_nat)
+    (fun (layers, w, seed) ->
+      let _, g = mk ~w ~h:(w + 1) ~layers () in
+      let rng = Cpla_util.Rng.create seed in
+      Graph.iter_edges g (fun e ->
+          List.iter
+            (fun l ->
+              Graph.reduce_capacity g e ~layer:l ~by:(Cpla_util.Rng.int rng 4);
+              Graph.add_usage g e ~layer:l (Cpla_util.Rng.int rng 12))
+            (Graph.edge_layers g e));
+      let ok = ref true in
+      Graph.iter_edges g (fun e ->
+          let sum f = List.fold_left (fun acc l -> acc + f l) 0 (Graph.edge_layers g e) in
+          if Graph.capacity_2d g e <> sum (fun layer -> Graph.capacity g e ~layer)
+             || Graph.usage_2d g e <> sum (fun layer -> Graph.usage g e ~layer)
+          then ok := false);
+      !ok)
+
 let test_graph_usage_roundtrip () =
   let _, g = mk () in
   Graph.add_usage g (he 2 3) ~layer:0 3;
@@ -143,4 +165,5 @@ let suite =
     Alcotest.test_case "clone independent" `Quick test_clone_independent;
     Alcotest.test_case "iter edges count" `Quick test_iter_edges_count;
     QCheck_alcotest.to_alcotest via_cap_property;
+    QCheck_alcotest.to_alcotest sum_2d_property;
   ]

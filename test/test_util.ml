@@ -116,19 +116,27 @@ let test_histogram_centers () =
   check_float "center of bin 0" 0.5 (Histogram.bin_center h 0);
   check_float "center of bin 9" 9.5 (Histogram.bin_center h 9)
 
+(* Drain a heap into its (key, value) pops, minimum first. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let k = Heap.min_key h and v = Heap.min_value h in
+      Heap.remove_min h;
+      go ((k, v) :: acc)
+    end
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Heap.create () in
   List.iter (fun k -> Heap.push h k (int_of_float k)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.rev !order)
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.map snd (heap_drain h));
+  Heap.push h 7.0 7;
+  Heap.clear h;
+  Alcotest.(check bool) "clear empties" true (Heap.is_empty h);
+  Alcotest.check_raises "min_key on empty" (Invalid_argument "Heap.min_key: empty heap")
+    (fun () -> ignore (Heap.min_key h))
 
 let test_heap_random =
   QCheck.Test.make ~name:"heap pops in sorted order"
@@ -136,11 +144,11 @@ let test_heap_random =
     (fun keys ->
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h k i) keys;
-      let rec drain acc =
-        match Heap.pop_min h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      popped = List.sort compare keys)
+      let popped = heap_drain h in
+      List.map fst popped = List.sort compare keys
+      (* every value pops exactly once, under the key it was pushed with *)
+      && List.sort compare (List.map snd popped) = List.init (List.length keys) Fun.id
+      && List.for_all (fun (k, v) -> List.nth keys v = k) popped)
 
 let test_float_cmp () =
   Alcotest.(check bool) "equal" true (Float_cmp.approx_eq 1.0 1.0);
