@@ -9,10 +9,8 @@ type t = {
   max_outer_iters : int;
   local_refinement : bool;
   boundary_coupling : bool;
-  incremental : bool;
   warm_start : bool;
   workers : int;
-  batch_size : int;
   ilp_options : Cpla_ilp.Solver.options;
   sdp_options : Cpla_sdp.Solver.options;
 }
@@ -27,10 +25,8 @@ let default =
     max_outer_iters = 5;
     local_refinement = true;
     boundary_coupling = true;
-    incremental = true;
     warm_start = true;
     workers = 1;
-    batch_size = 8;
     ilp_options = { Cpla_ilp.Solver.default_options with Cpla_ilp.Solver.time_limit_s = 10.0 };
     (* tuned: post-mapping plus the local refinement only need a reliable
        *ranking* from the relaxation, which survives a smaller rank and

@@ -21,31 +21,19 @@ type t = {
   boundary_coupling : bool;
       (** fold via delays to fixed neighbours outside the partition into the
           objective (default true); ablatable *)
-  incremental : bool;
-      (** dirty-partition scheduling (default true): after the first sweep,
-          re-solve only quadtree leaves whose nets changed layers (plus
-          leaves sharing a grid edge, via tile, or net with one that did),
-          keeping clean cells' layers verbatim.  With [warm_start = false]
-          the committed layers are identical to the from-scratch sweep's;
-          disabling reproduces the full re-solve of every sweep. *)
   warm_start : bool;
       (** seed each leaf's SDP factor from its previous sweep's final
           iterate instead of the deterministic gaussian draw (default
           true), with a cold retry if the warm solve stalls.  Changes
-          iterates (not validity); disable to recover bitwise
-          from-scratch-identical incremental sweeps.  SDP method only. *)
+          iterates (not validity); disable and the dirty-leaf sweeps
+          commit bitwise the layers of sweeps that re-solve every leaf.
+          SDP method only. *)
   workers : int;
       (** domains used to solve partitions concurrently (the paper's OpenMP
           parallelism).  1 = sequential.  Parallel sweeps freeze the
           coefficients once per iteration instead of per partition, so
           results can differ slightly from sequential runs (both are valid
           fixed points of the same outer loop). *)
-  batch_size : int;
-      (** partition subproblems solved per pool task in parallel sweeps
-          (default 8).  Same-size-bucket cells are chunked into batches of
-          at most this many; each batch runs through one per-domain solver
-          workspace.  Batching changes scheduling granularity only — the
-          solves and the commit order are those of [batch_size = 1]. *)
   ilp_options : Cpla_ilp.Solver.options;
   sdp_options : Cpla_sdp.Solver.options;
 }

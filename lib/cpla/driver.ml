@@ -131,7 +131,9 @@ let argmin_layers (f : Formulation.t) =
    count, keep input order within a bucket, and chunk each bucket into
    batches of at most [batch_size].  Same-shaped solves then share one
    per-domain workspace with no intervening growth, and scheduling overhead
-   is paid per batch instead of per cell. *)
+   is paid per batch instead of per cell.  Batching changes scheduling
+   granularity only: the solves and the commit order are those of one cell
+   per task. *)
 let size_class (f : Formulation.t) =
   let total =
     Array.fold_left
@@ -145,173 +147,22 @@ let size_class (f : Formulation.t) =
   done;
   !c
 
-let size_batches ~batch_size classes =
+let batch_size = 8
+
+let size_batches classes =
   let acc = ref [] in
   let max_class = Array.fold_left max 0 classes in
-  let bs = max 1 batch_size in
   for cls = 0 to max_class do
     let idxs = ref [] in
     Array.iteri (fun i c -> if c = cls then idxs := i :: !idxs) classes;
     let idxs = Array.of_list (List.rev !idxs) in
     let n = Array.length idxs in
-    for b = 0 to ((n + bs - 1) / bs) - 1 do
-      let lo = b * bs in
-      acc := (cls, Array.sub idxs lo (min n (lo + bs) - lo)) :: !acc
+    for b = 0 to ((n + batch_size - 1) / batch_size) - 1 do
+      let lo = b * batch_size in
+      acc := (cls, Array.sub idxs lo (min n (lo + batch_size) - lo)) :: !acc
     done
   done;
   Array.of_list (List.rev !acc)
-
-let solve_leaf_body config eng asg ?check (leaf : Partition.leaf) =
-  (* Freeze the coefficients of the nets touching this partition at the
-     current assignment so later partitions see the effect of earlier ones
-     within the same sweep (Section 3.2: "newly updated assignment results
-     of neighboring partitions benefit each current partition").  The engine
-     re-analyses only nets dirtied by earlier leaves; the snapshot must be
-     taken before the release below unassigns this leaf's segments. *)
-  let infos = Hashtbl.create 16 in
-  List.sort_uniq compare (List.map (fun it -> it.Partition.net) leaf.Partition.items)
-  |> List.iter (fun net -> Hashtbl.replace infos net (Incremental.path_info eng net));
-  (* release this partition's segments, rebuild their coefficients, solve *)
-  List.iter
-    (fun { Partition.net; seg; _ } -> Assignment.unassign asg ~net ~seg)
-    leaf.Partition.items;
-  let f =
-    Formulation.build ~boundary_coupling:config.Config.boundary_coupling asg
-      ~infos:(Hashtbl.find infos) ~items:leaf.Partition.items
-  in
-  if uncoupled f then begin
-    (* even a sweep dominated by sparse leaves must stay cancellable *)
-    poll_check check;
-    Array.iteri
-      (fun vi layer ->
-        let v = f.Formulation.vars.(vi) in
-        Assignment.set_layer asg ~net:v.Formulation.net ~seg:v.Formulation.seg ~layer)
-      (argmin_layers f)
-  end
-  else
-  let sdp_ws, ilp_ws = Cpla_util.Pool.Slot.get solver_slot in
-  match config.Config.method_ with
-  | Config.Sdp ->
-      let x = Sdp_method.solve ~options:config.Config.sdp_options ~ws:sdp_ws ?check f in
-      Post_map.run asg ~vars:f.Formulation.vars ~x;
-      if config.Config.local_refinement then local_refine asg f
-  | Config.Ilp -> (
-      match
-        Ilp_method.solve ~options:config.Config.ilp_options ~alpha:config.Config.alpha
-          ~ws:ilp_ws ?check f
-      with
-      | Some layers ->
-          Array.iteri
-            (fun vi layer ->
-              let v = f.Formulation.vars.(vi) in
-              Assignment.set_layer asg ~net:v.Formulation.net ~seg:v.Formulation.seg ~layer)
-            layers
-      | None ->
-          (* budget exhausted with no incumbent: fall back to the mapping
-             with uniform fractional values (capacity-driven greedy) *)
-          Post_map.run asg ~vars:f.Formulation.vars ~x:(fun _ _ -> 0.5))
-
-let solve_leaf config eng asg ?check leaf =
-  Cpla_obs.Span.with_ ~name:"driver/cell" ~args:(cell_args leaf) (fun () ->
-      solve_leaf_body config eng asg ?check leaf)
-
-(* Parallel sweep (the paper's OpenMP scheme): freeze coefficients once,
-   release every partition's segments, build all subproblems against the
-   others-only capacity view, solve them concurrently on a domain pool
-   (solvers are pure given their formulation), then commit partition by
-   partition in deterministic order. *)
-let solve_leaves_parallel config eng asg ?check leaves =
-  (* Freeze every released net's coefficients once, before any release. *)
-  let infos = Hashtbl.create 64 in
-  List.iter
-    (fun (leaf : Partition.leaf) ->
-      List.iter
-        (fun { Partition.net; _ } ->
-          if not (Hashtbl.mem infos net) then
-            Hashtbl.replace infos net (Incremental.path_info eng net))
-        leaf.Partition.items)
-    leaves;
-  List.iter
-    (fun (leaf : Partition.leaf) ->
-      List.iter
-        (fun { Partition.net; seg; _ } -> Assignment.unassign asg ~net ~seg)
-        leaf.Partition.items)
-    leaves;
-  let formulations =
-    Array.of_list
-      (List.map
-         (fun leaf ->
-           ( leaf,
-             Formulation.build ~boundary_coupling:config.Config.boundary_coupling asg
-               ~infos:(Hashtbl.find infos) ~items:leaf.Partition.items ))
-         leaves)
-  in
-  let solve_one ~sdp_ws ~ilp_ws (f : Formulation.t) =
-    if uncoupled f then begin
-      (* exact per-segment argmin, same (cancellable) fast path as sequential *)
-      poll_check check;
-      `Layers (Some (argmin_layers f))
-    end
-    else
-      match config.Config.method_ with
-      | Config.Sdp ->
-          let x = Sdp_method.solve ~options:config.Config.sdp_options ~ws:sdp_ws ?check f in
-          `Fractional x
-      | Config.Ilp ->
-          `Layers
-            (Ilp_method.solve ~options:config.Config.ilp_options ~alpha:config.Config.alpha
-               ~ws:ilp_ws ?check f)
-  in
-  (* Batched fan-out: one pool task per size-class batch; solvers are pure
-     given their formulation, so batching changes scheduling granularity
-     only. *)
-  let classes = Array.map (fun (_, f) -> size_class f) formulations in
-  let batches = size_batches ~batch_size:config.Config.batch_size classes in
-  let solve_batch (cls, batch) =
-    (* per-domain workspaces, fetched once per batch on the worker domain *)
-    let sdp_ws, ilp_ws = Cpla_util.Pool.Slot.get solver_slot in
-    Cpla_obs.Metrics.observe ~lo:0.0 ~hi:64.0 ~bins:16 "driver/batch-size"
-      (float_of_int (Array.length batch));
-    Cpla_obs.Span.with_ ~name:"driver/batch"
-      ~args:
-        [
-          ("bucket", Cpla_obs.Event.Int cls);
-          ("partitions", Cpla_obs.Event.Int (Array.length batch));
-        ]
-      (fun () ->
-        Array.map
-          (fun i ->
-            (* cancellation stays cooperative between cells of a batch *)
-            poll_check check;
-            let leaf, f = formulations.(i) in
-            Cpla_obs.Span.with_ ~name:"driver/cell" ~args:(cell_args leaf) (fun () ->
-                solve_one ~sdp_ws ~ilp_ws f))
-          batch)
-  in
-  let per_batch =
-    Cpla_util.Pool.parallel_map ~workers:config.Config.workers solve_batch batches
-  in
-  let solutions = Array.make (Array.length formulations) None in
-  Array.iteri
-    (fun bi (_, batch) ->
-      Array.iteri (fun k i -> solutions.(i) <- Some per_batch.(bi).(k)) batch)
-    batches;
-  (* commit in formulation (input) order, exactly as the unbatched sweep *)
-  Array.iteri
-    (fun i (_, f) ->
-      match solutions.(i) with
-      | Some (`Fractional x) ->
-          Post_map.run asg ~vars:f.Formulation.vars ~x;
-          if config.Config.local_refinement then local_refine asg f
-      | Some (`Layers (Some layers)) ->
-          Array.iteri
-            (fun vi layer ->
-              let v = f.Formulation.vars.(vi) in
-              Assignment.set_layer asg ~net:v.Formulation.net ~seg:v.Formulation.seg ~layer)
-            layers
-      | Some (`Layers None) -> Post_map.run asg ~vars:f.Formulation.vars ~x:(fun _ _ -> 0.5)
-      | None -> invalid_arg "Driver.solve_leaves_parallel: unsolved cell")
-    formulations
 
 (* ---- incremental sweeps ---------------------------------------------------
 
@@ -334,7 +185,8 @@ let solve_leaves_parallel config eng asg ?check leaves =
    net, plus leaves sharing a grid tile (which subsumes sharing an edge)
    with a leaf whose own segments changed.  Everything else is skipped and
    keeps its layers verbatim — with warm starts off, the committed layers
-   are identical to the from-scratch sweep's, partition by partition.
+   are identical to those of a sweep that re-solves every leaf, partition
+   by partition.  The first sweep finds every leaf dirty.
 
    Warm starts keep each leaf's previous Burer–Monteiro factor (leaf-keyed
    and read/written only between solves on the orchestrating side, so
@@ -485,6 +337,7 @@ module Incr = struct
      was cold. *)
   let solve_formulation config cache ?check ~sdp_ws ~ilp_ws ~v0 (f : Formulation.t) =
     if uncoupled f then begin
+      (* even a sweep dominated by sparse leaves must stay cancellable *)
       poll_check check;
       (Lay (Some (argmin_layers f)), None, None)
     end
@@ -505,7 +358,7 @@ module Incr = struct
           match hit with
           | Some frac -> (Frac frac, None, None)
           | None ->
-              let sol = Sdp_method.solve_fractional ~options ~ws:sdp_ws ?v0 ?check f in
+              let sol = Sdp_method.solve ~options ~ws:sdp_ws ?v0 ?check f in
               let store =
                 match (key, v0) with
                 | Some k, None -> Some (k, sol.Sdp_method.frac)
@@ -529,7 +382,10 @@ module Incr = struct
             let v = f.Formulation.vars.(vi) in
             Assignment.set_layer asg ~net:v.Formulation.net ~seg:v.Formulation.seg ~layer)
           layers
-    | Lay None -> Post_map.run asg ~vars:f.Formulation.vars ~x:(fun _ _ -> 0.5)
+    | Lay None ->
+        (* budget exhausted with no incumbent: fall back to the mapping
+           with uniform fractional values (capacity-driven greedy) *)
+        Post_map.run asg ~vars:f.Formulation.vars ~x:(fun _ _ -> 0.5)
 
   (* Memo updates and cache stores happen on the orchestrating side only:
      leaf-keyed warm factors keep results independent of the worker count,
@@ -544,14 +400,16 @@ module Incr = struct
     | Some (k, frac), Some c -> Solve_cache.store c k frac
     | _ -> ()
 
-  (* Sequential sweep: dirty leaves are released/re-solved one at a time
-     against the live grid, exactly like the from-scratch sequential sweep
-     — clean leaves are not touched at all.  A leaf whose commit changed
-     layers immediately re-dirties its net and tile neighbours, so leaves
-     later in the order are re-solved within this very sweep (matching the
-     from-scratch within-sweep propagation); earlier ones wait for the
-     next sweep (from-scratch would not see the change until then
-     either). *)
+  (* Sequential sweep: dirty leaves are released and re-solved one at a
+     time against the live grid; clean leaves are not touched at all.  Each
+     leaf freezes its nets' coefficients at the current assignment, so
+     later leaves see the effect of earlier ones within the same sweep
+     (Section 3.2: "newly updated assignment results of neighboring
+     partitions benefit each current partition").  A leaf whose commit
+     changed layers immediately re-dirties its net and tile neighbours, so
+     leaves later in the order are re-solved within this very sweep;
+     earlier ones wait for the next sweep, where an every-leaf sweep would
+     first see the change too. *)
   let sweep_sequential ?check t =
     let config = t.config in
     let solved = ref 0 in
@@ -565,6 +423,9 @@ module Incr = struct
               leaf.Partition.items
           in
           Cpla_obs.Span.with_ ~name:"driver/cell" ~args:(cell_args leaf) (fun () ->
+              (* freeze before the release below unassigns this leaf's
+                 segments; the engine re-analyses only nets dirtied by
+                 earlier leaves *)
               let infos = Hashtbl.create 16 in
               List.sort_uniq compare
                 (List.map (fun it -> it.Partition.net) leaf.Partition.items)
@@ -601,14 +462,16 @@ module Incr = struct
       t.leaves;
     !solved
 
-  (* Parallel sweep: reproduce the from-scratch parallel scheme exactly —
-     freeze coefficients for the dirty nets, release *every* leaf (so
-     builds and commits see the same others-only capacity view), but build
-     and solve only the dirty leaves; clean leaves recommit their memoized
-     (formulation, solution) through the same deterministic mapping.  The
-     build-time capacity view in this scheme is the non-released usage
-     only, which never changes across sweeps, so a clean leaf's memoized
-     formulation is bitwise the one a rebuild would produce. *)
+  (* Parallel sweep (the paper's OpenMP scheme): freeze coefficients once
+     per sweep for the dirty nets, release *every* leaf (so builds and
+     commits see the same others-only capacity view), build and solve the
+     dirty leaves concurrently on a domain pool (solvers are pure given
+     their formulation), then commit every leaf in deterministic order;
+     clean leaves recommit their memoized (formulation, solution) through
+     the same mapping.  The build-time capacity view in this scheme is the
+     non-released usage only, which never changes across sweeps, so a
+     clean leaf's memoized formulation is bitwise the one a rebuild would
+     produce. *)
   let sweep_parallel ?check t =
     let config = t.config in
     let n = Array.length t.leaves in
@@ -642,7 +505,7 @@ module Incr = struct
         dirty_idx
     in
     let classes = Array.map (fun (_, f) -> size_class f) formulations in
-    let batches = size_batches ~batch_size:config.Config.batch_size classes in
+    let batches = size_batches classes in
     let solve_batch (cls, batch) =
       let sdp_ws, ilp_ws = Cpla_util.Pool.Slot.get solver_slot in
       Cpla_obs.Metrics.observe ~lo:0.0 ~hi:64.0 ~bins:16 "driver/batch-size"
@@ -679,7 +542,7 @@ module Incr = struct
           batch)
       batches;
     (* commit every leaf in input order from its (fresh or memoized)
-       solution — identical inputs and order to the from-scratch commit *)
+       solution — the inputs and order an every-leaf sweep commits *)
     Array.iteri
       (fun li (_ : Partition.leaf) ->
         match t.memo.(li) with
@@ -716,7 +579,6 @@ module Incr = struct
 end
 
 let optimize_released ?(config = Config.default) ?engine ?solve_cache ?check asg ~released =
-  let poll = match check with Some f -> f | None -> fun () -> () in
   if not (Assignment.fully_assigned asg) then
     invalid_arg "Driver.optimize: initial assignment incomplete";
   if Array.length released = 0 then
@@ -731,24 +593,16 @@ let optimize_released ?(config = Config.default) ?engine ?solve_cache ?check asg
           e
       | None -> Incremental.create asg
     in
-    let graph = Assignment.graph asg in
-    let width = Cpla_grid.Graph.width graph and height = Cpla_grid.Graph.height graph in
-    let incr_state =
-      if config.Config.incremental then
-        Some (Incr.create ?solve_cache ~config ~engine:eng asg ~released)
-      else None
-    in
+    let st = Incr.create ?solve_cache ~config ~engine:eng asg ~released in
     let iterations = ref 0 and partitions = ref 0 in
     let best_score = ref (score eng released) in
     let stop = ref false in
     while (not !stop) && !iterations < config.Config.max_outer_iters do
-      poll ();
+      poll_check check;
       (* an empty dirty set means the next sweep would commit every layer
          verbatim: converged *)
-      (match incr_state with
-      | Some st when Incr.dirty_count st = 0 -> stop := true
-      | _ -> ());
-      if not !stop then
+      if Incr.dirty_count st = 0 then stop := true
+      else
         Cpla_obs.Span.with_ ~name:"driver/iteration"
           ~args:[ ("iter", Cpla_obs.Event.Int !iterations) ]
           (fun () ->
@@ -758,35 +612,7 @@ let optimize_released ?(config = Config.default) ?engine ?solve_cache ?check asg
                the iteration-entry snapshot before re-raising hands the
                caller a consistent state it can still measure. *)
             let solved =
-              try
-                match incr_state with
-                | Some st -> Incr.sweep ?check st
-                | None ->
-                    let items =
-                      Array.to_list released
-                      |> List.concat_map (fun net ->
-                             Array.to_list
-                               (Array.mapi
-                                  (fun seg s ->
-                                    { Partition.net; seg; mid = Segment.midpoint s })
-                                  (Assignment.segments asg net)))
-                    in
-                    let leaves =
-                      Cpla_obs.Span.with_ ~name:"driver/partition"
-                        ~args:[ ("items", Cpla_obs.Event.Int (List.length items)) ]
-                        (fun () ->
-                          Partition.build ~width ~height ~k:config.Config.k_div
-                            ~max_segments:config.Config.max_segments_per_partition items)
-                    in
-                    if config.Config.workers > 1 then
-                      solve_leaves_parallel config eng asg ?check leaves
-                    else
-                      List.iter
-                        (fun leaf ->
-                          poll ();
-                          solve_leaf config eng asg ?check leaf)
-                        leaves;
-                    List.length leaves
+              try Incr.sweep ?check st
               with e ->
                 restore asg snap;
                 raise e

@@ -7,14 +7,15 @@
     the released nets' timing stops improving (with a revert of the last
     iteration if it hurt), or the iteration cap is hit.
 
-    With {!Config.t.incremental} (the default) sweeps after the first are
-    *dirty-partition* sweeps: only quadtree leaves whose inputs could have
+    The first sweep solves every quadtree leaf; later sweeps are
+    *dirty-partition* sweeps ({!Incr}): only leaves whose inputs could have
     changed — leaves sharing a net with a net that moved, or a grid
     tile/edge with a leaf whose segments moved — are re-solved; clean
     leaves keep their layers verbatim.  With [warm_start = false] the
-    committed layers are identical to the from-scratch loop's; warm starts
-    and the solve cache trade that bitwise identity for speed while
-    preserving validity (equivalence within score tolerance). *)
+    committed layers are identical to those of a loop that re-solves every
+    leaf in every sweep; warm starts and the solve cache trade that bitwise
+    identity for speed while preserving validity (equivalence within score
+    tolerance). *)
 
 type report = {
   released : int array;      (** net ids that were optimised *)
@@ -51,10 +52,10 @@ val optimize_released :
     @raise Invalid_argument when the engine is bound to another assignment.
     An empty [released] returns immediately with zero metrics.
 
-    [solve_cache] (SDP method, incremental mode) is a content-addressed
-    cache of fractional partition solves, shareable across calls and
-    domains: coupled subproblems whose canonical formulation was already
-    solved cold skip the solver entirely (see {!Solve_cache}).
+    [solve_cache] (SDP method) is a content-addressed cache of fractional
+    partition solves, shareable across calls and domains: coupled
+    subproblems whose canonical formulation was already solved cold skip
+    the solver entirely (see {!Solve_cache}).
 
     [check] is a cooperative-cancellation hook: it is polled at every
     partition-solve boundary (iteration start, before each leaf solve —
@@ -67,7 +68,7 @@ val optimize_released :
     assigned and internally consistent.  {!Cpla_serve.Token.check} is the
     intended hook; any closure works. *)
 
-(** The dirty-partition scheduler behind incremental sweeps, exposed for
+(** The dirty-partition scheduler that runs every sweep, exposed for
     benchmarks and equivalence tests.  Holds the (once-built) quadtree,
     per-leaf dirty flags, leaf-keyed warm-start factors, and memoized
     formulations/solutions.  The partition structure is a pure function of

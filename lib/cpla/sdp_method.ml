@@ -128,7 +128,7 @@ let record_telemetry ~(options : Solver.options) ws =
     (Float.log10 (Kernel.max_violation ws));
   if Kernel.ranked_exit ws then Metrics.incr "sdp/ranked-exits"
 
-let solve_fractional ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
+let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
   if Array.length f.Formulation.vars = 0 then { frac = [||]; factor = [||] }
   else
     Cpla_obs.Span.with_ ~name:"sdp/solve"
@@ -160,7 +160,3 @@ let solve_fractional ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t
         (* the final run is cold whenever it is stalled *)
         if stalled ~options ws then Cpla_obs.Metrics.incr "sdp/stalled";
         { frac = fractional_table f index x_diag; factor = Array.sub (Kernel.v ws) 0 (dim * r) })
-
-let solve ~options ?ws ?check (f : Formulation.t) =
-  let { frac; _ } = solve_fractional ~options ?ws ?check f in
-  if Array.length frac = 0 then fun _ _ -> 0.0 else fun vi ci -> frac.(vi).(ci)

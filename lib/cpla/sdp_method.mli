@@ -32,7 +32,7 @@ type solution = {
           similarly-shaped formulation. *)
 }
 
-val solve_fractional :
+val solve :
   options:Cpla_sdp.Solver.options ->
   ?ws:Cpla_sdp.Solver.ws ->
   ?v0:float array ->
@@ -44,9 +44,11 @@ val solve_fractional :
     stalls (non-finite or badly violated final residual), the solve is
     retried from the deterministic cold start (counted under the
     [sdp/warm-retries] metric), so a bad seed costs time but never
-    quality.  With no [?v0] the result is bitwise-identical to {!solve}.
-    [check] is the cooperative-cancellation hook, polled at the solve
-    boundaries.
+    quality.  [check] is the cooperative-cancellation hook (see
+    {!Driver.optimize_released}), polled at the solve boundaries (before
+    building the SDP and before each solver run) and aborting the solve by
+    raising.  [ws] reuses a solver workspace across partitions (one per
+    domain); results are independent of workspace reuse.
 
     The problem is compiled with its ranking groups, so the kernel stops
     once the per-layer ranking Post_map reads has settled (see
@@ -57,17 +59,3 @@ val solve_fractional :
     land in its overflow), and the counter [sdp/ranked-exits].  Per call,
     [sdp/stalled] counts a final (cold) solve that still ended above the
     stall threshold. *)
-
-val solve :
-  options:Cpla_sdp.Solver.options ->
-  ?ws:Cpla_sdp.Solver.ws ->
-  ?check:(unit -> unit) ->
-  Formulation.t ->
-  (int -> int -> float)
-(** Solve the relaxation and return the fractional value accessor
-    [x vi ci ∈ [0,1]] that feeds {!Post_map.run}.  [check] is the
-    cooperative-cancellation hook (see {!Driver.optimize_released}): it is
-    polled at the solve boundaries (before building the SDP and before
-    running the solver) and aborts the solve by raising.  [ws] reuses a
-    solver workspace across partitions (one per domain); results are
-    independent of workspace reuse. *)

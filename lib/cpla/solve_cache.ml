@@ -2,9 +2,9 @@
 
    Keyed by [Formulation.digest] plus a fingerprint of the SDP options
    (any field that changes the arithmetic changes the key), valued by the
-   materialised fractional table of [Sdp_method.solve_fractional].  The
-   cache stores *cold-start* solves only: a warm-started result depends on
-   the seeding factor and hence on solve history, which would make cache
+   materialised fractional table of [Sdp_method.solve].  The cache stores
+   *cold-start* solves only: a warm-started result depends on the seeding
+   factor and hence on solve history, which would make cache
    contents order-dependent; restricting entries to cold solves keeps the
    cache a pure function of (canonical formulation, options) — what makes
    sharing one cache across daemon jobs sound.

@@ -1,8 +1,8 @@
 (** Content-addressed cache of fractional partition solves.
 
     Maps [Formulation.digest] + SDP-options fingerprint to the
-    materialised fractional table of {!Sdp_method.solve_fractional}, so
-    repeated or near-identical subproblems — typically the same design
+    materialised fractional table of {!Sdp_method.solve}, so repeated or
+    near-identical subproblems — typically the same design
     resubmitted to the daemon, or an untouched region re-released across
     jobs — skip the solver entirely.  Only cold-start solves are stored
     (warm-started results depend on solve history), keeping cache

@@ -27,9 +27,5 @@ val relaxation : t -> Cpla_numeric.Simplex.problem
 val value : t -> float array -> float
 (** Objective value of a point. *)
 
-val integral : ?tol:float -> t -> float array -> bool
-  [@@cpla.allow "unused-export"]
-(** Whether every binary variable is within [tol] (default 1e-6) of 0 or 1. *)
-
 val check : ?tol:float -> t -> float array -> bool
 (** Feasibility including integrality. *)

@@ -83,7 +83,7 @@ let solve ?(options = default_options) ?ws model =
       incr nodes;
       (* fixing rows go straight into the reused tableau — same rows, same
          order as the dense Array.append construction this replaces *)
-      match Simplex.solve_ws ws ~fixes base with
+      match Simplex.solve ~ws ~fixes base with
       | Simplex.Infeasible -> ()
       | Simplex.Unbounded ->
           (* A bounded 0/1 model cannot be unbounded unless continuous

@@ -1,9 +1,9 @@
 (** Blocking daemon client ([cpla submit], tests, benchmarks).
 
-    One TCP connection, synchronous: {!send} writes a framed request,
-    {!recv} blocks for the next incoming message (response or job
-    event).  {!call} and {!await_terminal} layer the common
-    request/response and event-streaming patterns on top.
+    One TCP connection, synchronous: {!recv} blocks for the next
+    incoming message (response or job event); {!call} and
+    {!await_terminal} layer the common request/response and
+    event-streaming patterns on top.
 
     Not domain-safe: one client per domain. *)
 
@@ -16,12 +16,6 @@ val connect : ?timeout_s:float -> host:string -> port:int -> unit -> t
 
 val close : t -> unit
 (** Idempotent. *)
-
-val send : t -> Protocol.request -> unit
-[@@cpla.allow "unused-export"]
-(** Write one framed request (blocking) without waiting for the
-    response — the extension point for pipelined clients; {!call} is
-    the synchronous wrapper everything in-tree uses. *)
 
 val recv : ?timeout_s:float -> t -> (Protocol.incoming, string) result
 (** Block for the next message.  [Error] covers malformed frames, server

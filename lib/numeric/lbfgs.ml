@@ -1,11 +1,3 @@
-type result = {
-  x : Vec.t;
-  f : float;
-  grad_norm : float;
-  iterations : int;
-  converged : bool;
-}
-
 (* ---- workspace minimiser ---------------------------------------------------
 
    Allocation-free L-BFGS over the first [n] cells of preallocated buffers:
@@ -13,9 +5,10 @@ type result = {
    the evaluator writes its value and gradient into caller-provided storage
    (a float returned from an unknown closure would be boxed per call), and
    every vector op is a Vec prefix variant or a fused pass doing the same
-   per-cell arithmetic.  The floating-point operation sequence mirrors
-   [minimize] exactly, so on identical inputs the two produce bitwise-equal
-   iterates (a QCheck property in test/test_numeric_props.ml). *)
+   per-cell arithmetic.  The floating-point operation sequence mirrors the
+   list-based minimiser kept in test/lbfgs_reference.ml exactly, so on
+   identical inputs the two produce bitwise-equal iterates (a QCheck
+   property in test/test_numeric_props.ml). *)
 
 module Ws = struct
   type t = {
@@ -104,11 +97,12 @@ module Ws = struct
     !acc
 
   (* Two-loop recursion into [ws.d]; the ring holds [count] pairs, newest at
-     slot [head - 1].  Identical arithmetic to [direction] below: newest
-     pair first, gamma scaling from the newest pair, reverse pass oldest
-     first, final negation.  Each pass over [d] applies one pair's update
-     and takes the next pair's inner product ([axpy_dot]); the newest
-     pair's sᵀy and yᵀy come from the ring instead of being recomputed. *)
+     slot [head - 1].  Identical arithmetic to the reference's [direction]:
+     newest pair first, gamma scaling from the newest pair, reverse pass
+     oldest first, final negation.  Each pass over [d] applies one pair's
+     update and takes the next pair's inner product ([axpy_dot]); the
+     newest pair's sᵀy and yᵀy come from the ring instead of being
+     recomputed. *)
   let direction_ws ws ~n ~head ~count =
     Vec.copy_n n ws.g ws.d;
     if count > 0 then begin
@@ -166,9 +160,9 @@ module Ws = struct
       Vec.copy_n n ws.g ws.g0;
       let step = ref 1.0 and accepted = ref false and tries = ref 0 in
       while (not !accepted) && !tries < 30 do
-        (* xt <- x0 + step·d in one pass: the [copy_n; axpy_n] pair of
-           [minimize] fused, same per-cell arithmetic; every buffer holds
-           >= n cells after [reserve] *)
+        (* xt <- x0 + step·d in one pass: the reference's [copy; axpy]
+           pair fused, same per-cell arithmetic; every buffer holds >= n
+           cells after [reserve] *)
         let alpha = !step in
         for i = 0 to n - 1 do
           Array.unsafe_set ws.xt i
@@ -203,7 +197,7 @@ module Ws = struct
         let sy = !sy_acc in
         if sy > 1e-12 then begin
           (* the pair enters the ring by a row swap, so a rejected pair
-             never overwrites the oldest live one ([minimize] drops it) *)
+             never overwrites the oldest live one (the reference drops it) *)
           let i = !head in
           let s_old = ws.s_mem.(i) and y_old = ws.y_mem.(i) in
           ws.s_mem.(i) <- ws.s_new;
@@ -226,85 +220,3 @@ module Ws = struct
   let fx_out ws = ws.fx_out
   let iterations ws = ws.iterations
 end
-
-(* Two-loop recursion computing the search direction -H·g from the stored
-   (s, y) curvature pairs; [pairs] is newest-first. *)
-let direction pairs g =
-  let q = Vec.copy g in
-  let alphas =
-    List.map
-      (fun (s, y, rho) ->
-        let alpha = rho *. Vec.dot s q in
-        Vec.axpy ~alpha:(-.alpha) y q;
-        (s, y, rho, alpha))
-      pairs
-  in
-  (match pairs with
-  | [] -> ()
-  | (s, y, _) :: _ ->
-      let yy = Vec.dot y y in
-      if yy > 0.0 then Vec.scale (Vec.dot s y /. yy) q);
-  List.iter
-    (fun (s, y, rho, alpha) ->
-      let beta = rho *. Vec.dot y q in
-      Vec.axpy ~alpha:(alpha -. beta) s q)
-    (List.rev alphas);
-  Vec.scale (-1.0) q;
-  q
-
-let minimize ?(memory = 8) ?(max_iter = 500) ?(grad_tol = 1e-6) ~f x0 =
-  let x = Vec.copy x0 in
-  let fx = ref 0.0 and g = ref (Vec.create (Array.length x0)) in
-  let eval v =
-    let value, grad = f v in
-    fx := value;
-    g := grad
-  in
-  eval x;
-  let pairs = ref [] in
-  let iter = ref 0 in
-  let converged = ref (Vec.norm_inf !g <= grad_tol) in
-  while (not !converged) && !iter < max_iter do
-    let d = direction !pairs !g in
-    let slope = Vec.dot d !g in
-    (* Guard against a non-descent direction from stale curvature pairs. *)
-    let d, slope =
-      if slope < 0.0 then (d, slope)
-      else begin
-        let d = Vec.copy !g in
-        Vec.scale (-1.0) d;
-        (d, -.Vec.dot !g !g)
-      end
-    in
-    let f0 = !fx and x0' = Vec.copy x and g0 = Vec.copy !g in
-    (* Armijo backtracking line search. *)
-    let step = ref 1.0 and accepted = ref false and tries = ref 0 in
-    while (not !accepted) && !tries < 30 do
-      let xt = Vec.copy x0' in
-      Vec.axpy ~alpha:!step d xt;
-      let value, grad = f xt in
-      if value <= f0 +. (1e-4 *. !step *. slope) then begin
-        Array.blit xt 0 x 0 (Array.length x);
-        fx := value;
-        g := grad;
-        accepted := true
-      end
-      else begin
-        step := !step *. 0.5;
-        incr tries
-      end
-    done;
-    if not !accepted then converged := true (* line search stalled: local flat *)
-    else begin
-      let s = Vec.sub x x0' in
-      let y = Vec.sub !g g0 in
-      let sy = Vec.dot s y in
-      if sy > 1e-12 then begin
-        let pair = (s, y, 1.0 /. sy) in
-        pairs := pair :: (if List.length !pairs >= memory then List.filteri (fun i _ -> i < memory - 1) !pairs else !pairs)
-      end;
-      if Vec.norm_inf !g <= grad_tol then converged := true
-    end;
-    incr iter
-  done;
-  { x; f = !fx; grad_norm = Vec.norm_inf !g; iterations = !iter; converged = !converged }

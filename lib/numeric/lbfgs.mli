@@ -4,39 +4,15 @@
     unconstrained objective given a value-and-gradient oracle.  Two-loop
     recursion with Armijo backtracking; deterministic, allocation-light. *)
 
-type result = {
-  x : Vec.t;          (** minimiser found *)
-  f : float;          (** objective at [x] *)
-  grad_norm : float;  (** infinity norm of the gradient at [x] *)
-  iterations : int;   (** outer iterations performed *)
-  converged : bool;   (** gradient tolerance reached before iteration cap *)
-}
-
-val minimize :
-  ?memory:int ->
-  ?max_iter:int ->
-  ?grad_tol:float ->
-  f:(Vec.t -> float * Vec.t) ->
-  Vec.t ->
-  result
-(** [minimize ~f x0] minimises [f] starting at [x0].  [f x] must return the
-    objective value and a freshly allocated gradient.  [memory] is the number
-    of curvature pairs retained (default 8); [grad_tol] is the stopping
-    threshold on the gradient infinity norm (default 1e-6); [max_iter]
-    defaults to 500.  [x0] is not modified. *)
-
-(** Workspace variant for the batched SoA kernels: all scratch state — the
-    curvature-pair ring, line-search buffers, the gradient — lives in a
-    reusable workspace, and the evaluator writes into caller storage, so a
-    solve allocates nothing on the hot path.  Performs the same
-    floating-point operations in the same order as [minimize]: identical
-    inputs give bitwise-identical iterates. *)
+(** All scratch state — the curvature-pair ring, line-search buffers, the
+    gradient — lives in a reusable workspace, and the evaluator writes into
+    caller storage, so a solve allocates nothing on the hot path. *)
 module Ws : sig
   type t
 
   val create : ?memory:int -> unit -> t
-  (** Empty workspace; buffers grow on first use.  [memory] as in
-      [minimize] (default 8). *)
+  (** Empty workspace; buffers grow on first use.  [memory] is the number
+      of curvature pairs retained (default 8). *)
 
   val reserve : t -> int -> unit
   (** Pre-size every buffer for problems of dimension <= n. *)
@@ -52,12 +28,13 @@ module Ws : sig
   (** [minimize ws ~n ~eval x] minimises over the first [n] cells of [x],
       updating [x] in place.  [eval x grad_out] must write the objective
       into [fx_out ws] (cell 0) and the gradient into [grad_out.(0..n-1)].
-      [x] itself is the result; {!iterations} reports the work done. *)
+      [x] itself is the result; {!iterations} reports the work done.
+      [grad_tol] is the stopping threshold on the gradient infinity norm
+      (default 1e-6); [max_iter] defaults to 500. *)
 
   val fx_out : t -> float array
   (** The 1-cell buffer the evaluator writes the objective value into. *)
 
   val iterations : t -> int
-  (** Iterations performed by the last [minimize] (as [result.iterations]
-      of {!val-minimize}). *)
+  (** Iterations performed by the last [minimize]. *)
 end

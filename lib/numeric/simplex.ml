@@ -281,7 +281,8 @@ let extract tab n =
   done;
   x
 
-let solve_ws ws ?(max_pivots = 20000) ?(fixes = []) (problem : problem) =
+let solve ?ws ?(max_pivots = 20000) ?(fixes = []) (problem : problem) =
+  let ws = match ws with Some w -> w | None -> ws_create () in
   let n = Array.length problem.objective in
   let tab = build_into ws problem ~fixes in
   let pivots = ref 0 in
@@ -334,8 +335,6 @@ let solve_ws ws ?(max_pivots = 20000) ?(fixes = []) (problem : problem) =
             let x = extract tab n in
             Optimal { x; objective = objective_value tab phase2_cost; iterations = !pivots }
       end
-
-let solve ?max_pivots (problem : problem) = solve_ws (ws_create ()) ?max_pivots problem
 
 let feasible ?(tol = 1e-6) (problem : problem) x =
   Array.length x = Array.length problem.objective

@@ -37,18 +37,15 @@ type ws
 
 val ws_create : unit -> ws
 
-val solve : ?max_pivots:int -> problem -> status
+val solve : ?ws:ws -> ?max_pivots:int -> ?fixes:(int * float) list -> problem -> status
 (** Solve the LP.  [max_pivots] (default 20000) bounds total pivots across
-    both phases; hitting it yields [Iteration_limit].
-    @raise Invalid_argument on ragged coefficient rows. *)
-
-val solve_ws : ws -> ?max_pivots:int -> ?fixes:(int * float) list -> problem -> status
-(** [solve] on a reusable workspace.  [fixes] appends equality rows
-    [x_i = v] (each [v >= 0]) after the problem rows — the branch-and-bound
-    fixing rows, written into the tableau directly instead of being
-    materialised as dense coefficient rows.  Results are independent of
-    workspace reuse and identical to [solve] on a problem with equivalent
-    appended rows.
+    both phases; hitting it yields [Iteration_limit].  [ws] reuses a
+    workspace (a fresh one is created when omitted).  [fixes] appends
+    equality rows [x_i = v] (each [v >= 0]) after the problem rows — the
+    branch-and-bound fixing rows, written into the tableau directly instead
+    of being materialised as dense coefficient rows.  Results are
+    independent of workspace reuse and identical to a solve of the problem
+    with equivalent appended rows.
     @raise Invalid_argument on ragged rows or out-of-range/negative fixes. *)
 
 val feasible : ?tol:float -> problem -> float array -> bool

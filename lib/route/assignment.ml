@@ -153,11 +153,6 @@ let unassign_net t i =
 let fully_assigned t =
   Array.for_all (fun d -> Array.for_all (fun l -> l >= 0) d.layers) t.data
 
-let iter_assigned t f =
-  Array.iteri
-    (fun net d -> Array.iteri (fun seg layer -> if layer >= 0 then f ~net ~seg ~layer) d.layers)
-    t.data
-
 let check_usage t =
   let g = t.graph in
   let nl = Graph.num_layers g in

@@ -67,6 +67,3 @@ val check_usage : t -> (unit, string) result
 (** Recompute all edge and via usage from scratch and compare with the
     graph's incremental accounting; the invariant every mutation must
     preserve.  For tests. *)
-
-val iter_assigned : t -> (net:int -> seg:int -> layer:int -> unit) -> unit
-  [@@cpla.allow "unused-export"]

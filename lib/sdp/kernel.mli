@@ -38,11 +38,6 @@ type ws
 
 val ws_create : unit -> ws
 
-val reserve : ws -> n:int -> m:int -> unit
-  [@@cpla.allow "unused-export"]
-(** Pre-size for problems with flattened dimension <= [n] and <= [m]
-    constraints (optional; [solve_into] grows on demand). *)
-
 type options = {
   max_outer : int;
   inner_iters : int;

@@ -1,5 +1,3 @@
-open Cpla_numeric
-
 type entry = { i : int; j : int; v : float }
 
 type constr = { terms : entry list; b : float }
@@ -19,13 +17,3 @@ let create ~dim ~cost ~constraints =
   List.iter (check_entry dim) cost;
   List.iter (fun c -> List.iter (check_entry dim) c.terms) constraints;
   { dim; cost; constraints }
-
-let inner entries x =
-  List.fold_left
-    (fun acc e ->
-      if e.i = e.j then acc +. (e.v *. Mat.get x e.i e.j)
-      else acc +. (2.0 *. e.v *. Mat.get x e.i e.j))
-    0.0 entries
-
-let violations t x =
-  Array.of_list (List.map (fun c -> inner c.terms x -. c.b) t.constraints)

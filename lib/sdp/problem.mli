@@ -28,11 +28,3 @@ type t = {
 
 val create : dim:int -> cost:entry list -> constraints:constr list -> t
 (** @raise Invalid_argument on out-of-range or lower-triangle indices. *)
-
-val inner : entry list -> Cpla_numeric.Mat.t -> float
-  [@@cpla.allow "unused-export"]
-(** ⟨A, X⟩ for a symmetric sparse A against a dense X. *)
-
-val violations : t -> Cpla_numeric.Mat.t -> float array
-  [@@cpla.allow "unused-export"]
-(** Per-constraint residuals ⟨A_k, X⟩ − b_k. *)

@@ -66,14 +66,11 @@ let solve ?(options = default_options) ?ws ?v0 ?groups (problem : Problem.t) =
     outer_rounds = Kernel.outer_rounds ws;
   }
 
-let x_entry result i j =
-  let r = result.v.Mat.cols in
-  let acc = ref 0.0 in
-  for c = 0 to r - 1 do
-    acc := !acc +. (Mat.get result.v i c *. Mat.get result.v j c)
-  done;
-  !acc
-
 let x_matrix result =
-  let d = result.v.Mat.rows in
-  Mat.init d d (fun i j -> x_entry result i j)
+  let d = result.v.Mat.rows and r = result.v.Mat.cols in
+  Mat.init d d (fun i j ->
+      let acc = ref 0.0 in
+      for c = 0 to r - 1 do
+        acc := !acc +. (Mat.get result.v i c *. Mat.get result.v j c)
+      done;
+      !acc)

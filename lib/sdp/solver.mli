@@ -47,9 +47,5 @@ val solve :
     back to the deterministic cold start.  [?groups] enables the ranked
     exit (see {!Kernel.compile}). *)
 
-val x_entry : result -> int -> int -> float
-  [@@cpla.allow "unused-export"]
-(** Any entry of X = VVᵀ (e.g. the y_ijpq off-diagonals). *)
-
 val x_matrix : result -> Cpla_numeric.Mat.t
 (** Materialise the full X (for tests; O(dim²·rank)). *)

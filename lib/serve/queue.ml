@@ -12,8 +12,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0; next_seq = 0 }
 
-let length q = q.len
-
 let is_empty q = q.len = 0
 
 (* a should pop before b *)

@@ -10,9 +10,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val length : 'a t -> int
-  [@@cpla.allow "unused-export"]
-
 val is_empty : 'a t -> bool
 
 val add : 'a t -> priority:int -> cost:float -> 'a -> unit

@@ -131,7 +131,7 @@ let test_simplex_ws_reuse () =
     let p = random_lp rng ~n ~m in
     Alcotest.(check status_testable)
       "ws solve bitwise" (Simplex.solve p)
-      (Simplex.solve_ws ws p)
+      (Simplex.solve ~ws p)
   done
 
 (* ~fixes must be exactly the dense appended-Eq-rows construction the
@@ -163,7 +163,7 @@ let test_simplex_fixes () =
     in
     Alcotest.(check status_testable)
       "fixes bitwise" (Simplex.solve appended)
-      (Simplex.solve_ws ws ~fixes p)
+      (Simplex.solve ~ws ~fixes p)
   done
 
 let outcome_testable =
@@ -230,9 +230,9 @@ let test_simplex_alloc_budget () =
   let rng = Cpla_util.Rng.create (rng_seed + 5) in
   let p = random_lp rng ~n:8 ~m:6 in
   let ws = Simplex.ws_create () in
-  let per_run = bytes_per_run ~runs:50 (fun () -> ignore (Simplex.solve_ws ws p)) in
+  let per_run = bytes_per_run ~runs:50 (fun () -> ignore (Simplex.solve ~ws p)) in
   Alcotest.(check bool)
-    (Printf.sprintf "simplex solve_ws allocates %.0f B/run (budget 16384)" per_run)
+    (Printf.sprintf "simplex solve allocates %.0f B/run (budget 16384)" per_run)
     true (per_run < 16384.0)
 
 let test_vec_alloc_budget () =

@@ -385,13 +385,15 @@ let test_sdp_x_values_in_range () =
   List.iter
     (fun f ->
       if Formulation.var_count f > 0 then begin
-        let x = Sdp_method.solve ~options:Cpla_sdp.Solver.default_options f in
+        let { Sdp_method.frac; _ } =
+          Sdp_method.solve ~options:Cpla_sdp.Solver.default_options f
+        in
         Array.iteri
           (fun vi (v : Formulation.var) ->
             let sum = ref 0.0 in
             Array.iteri
               (fun ci _ ->
-                let value = x vi ci in
+                let value = frac.(vi).(ci) in
                 Alcotest.(check bool) "x in [0,1]" true (value >= 0.0 && value <= 1.0);
                 sum := !sum +. value)
               v.Formulation.cands;

@@ -38,9 +38,50 @@ let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
 
 (* ---- incremental ≡ from-scratch -------------------------------------------- *)
 
+(* The from-scratch reference: [Driver]'s outer loop — the same score
+   (Avg + 0.05·Max), the same restore on a worse or non-finite score, the
+   same 1e-6 relative stop rule — over a scheduler whose every released net
+   is re-dirtied before each sweep, so no leaf is ever skipped. *)
+let from_scratch ~config asg ~released =
+  let engine = Incremental.create asg in
+  let st = Driver.Incr.create ~config ~engine asg ~released in
+  let score () =
+    let avg, mx = Incremental.avg_max_tcp engine released in
+    avg +. (0.05 *. mx)
+  in
+  let snapshot () =
+    Array.map
+      (fun net ->
+        Array.mapi (fun seg _ -> Assignment.layer asg ~net ~seg) (Assignment.segments asg net))
+      released
+  in
+  let restore snap =
+    Array.iteri
+      (fun i net ->
+        Array.iteri (fun seg layer -> Assignment.set_layer asg ~net ~seg ~layer) snap.(i))
+      released
+  in
+  let best = ref (score ()) in
+  let rec loop iter =
+    if iter < config.Config.max_outer_iters then begin
+      Array.iter (Driver.Incr.mark_net_dirty st) released;
+      let snap = snapshot () in
+      ignore (Driver.Incr.sweep st);
+      let s = score () in
+      if (not (Float.is_finite s)) || s > !best then restore snap
+      else if s < !best -. (1e-6 *. Float.abs !best) then begin
+        best := s;
+        loop (iter + 1)
+      end
+    end
+  in
+  loop 0;
+  Incremental.avg_max_tcp engine released
+
 (* The core contract: over random designs, release sets (via the seed),
    sweep budgets, and worker counts, the incremental driver with warm
-   starts off commits exactly the layers the from-scratch loop commits. *)
+   starts off commits exactly the layers the every-leaf-dirty loop
+   commits. *)
 let equivalence_property =
   QCheck.Test.make ~name:"driver: incremental ≡ from-scratch layers (warm off)" ~count:5
     QCheck.(triple (int_range 0 9999) (int_range 1 4) (oneofl [ 1; 2; 3 ]))
@@ -53,20 +94,14 @@ let equivalence_property =
       let asg_a, rel_a = mk () in
       let asg_b, rel_b = mk () in
       if rel_a <> rel_b then QCheck.Test.fail_report "fixture is non-deterministic";
-      let base =
+      let config =
         { Config.default with Config.warm_start = false; workers; max_outer_iters = iters }
       in
-      let ra =
-        Driver.optimize_released ~config:{ base with Config.incremental = false } asg_a
-          ~released:rel_a
-      in
-      let rb =
-        Driver.optimize_released ~config:{ base with Config.incremental = true } asg_b
-          ~released:rel_b
-      in
+      let avg_a, max_a = from_scratch ~config asg_a ~released:rel_a in
+      let rb = Driver.optimize_released ~config asg_b ~released:rel_b in
       layers_of asg_a = layers_of asg_b
-      && close ra.Driver.avg_tcp rb.Driver.avg_tcp
-      && close ra.Driver.max_tcp rb.Driver.max_tcp
+      && close avg_a rb.Driver.avg_tcp
+      && close max_a rb.Driver.max_tcp
       && Assignment.check_usage asg_b = Ok ())
 
 (* A hit replays the stored cold-start solution, and with warm starts off
@@ -401,6 +436,65 @@ let test_digest_sensitive_to_coefficients () =
       Alcotest.(check bool) "capacity limits are load-bearing" true
         (Formulation.digest f <> Formulation.digest (bump_limit f))
 
+(* ---- golden: the production driver path is pinned ----------------------------
+
+   Digests of [Driver.optimize] with the default configuration — warm
+   starts on — recorded before the from-scratch sweep was deleted: the MD5
+   of every net's committed layers plus the bit patterns of Avg/Max Tcp.
+   The equivalence properties above run with warm starts off; this pins the
+   path production runs take, including a replay through a shared solve
+   cache.  [critical_ratio] is raised so the small designs release enough
+   nets to exercise several partitions. *)
+let driver_digest asg (r : Driver.report) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun layers ->
+      Array.iter (fun l -> Printf.bprintf b "%d " l) layers;
+      Buffer.add_char b ';')
+    (layers_of asg);
+  Printf.sprintf "%s %h %h"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    r.Driver.avg_tcp r.Driver.max_tcp
+
+let golden_run ?solve_cache ~seed ~method_ ~workers () =
+  let asg = build_design ~w:32 ~nets:600 ~seed () in
+  let config =
+    { Config.default with Config.method_; workers; critical_ratio = 0.02 }
+  in
+  driver_digest asg (Driver.optimize ~config ?solve_cache asg)
+
+let test_driver_golden () =
+  List.iter
+    (fun (label, seed, method_, workers, digest) ->
+      Alcotest.(check string) label digest (golden_run ~seed ~method_ ~workers ()))
+    [
+      ("seed 11 sdp w1", 11, Config.Sdp, 1,
+       "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11");
+      ("seed 11 sdp w2", 11, Config.Sdp, 2,
+       "2a49dbd0fc08de387345c648276d8fbd 0x1.bb32222222223p+10 0x1.609ffffffffffp+11");
+      ("seed 11 ilp w1", 11, Config.Ilp, 1,
+       "53b6b9525accd8cd5682f41567b89753 0x1.bb18444444445p+10 0x1.609ffffffffffp+11");
+      ("seed 11 ilp w2", 11, Config.Ilp, 2,
+       "0d32ff1c297f14c7b65f27ea43a14dca 0x1.bb90ccccccccdp+10 0x1.609ffffffffffp+11");
+      ("seed 23 sdp w1", 23, Config.Sdp, 1,
+       "b5988e5d80f70bb2749bb9def35910e5 0x1.d215555555555p+10 0x1.9290000000001p+11");
+      ("seed 23 sdp w2", 23, Config.Sdp, 2,
+       "ba84c847a2d8456268847fe8e685e3d7 0x1.d142eeeeeeefp+10 0x1.9290000000001p+11");
+      ("seed 23 ilp w1", 23, Config.Ilp, 1,
+       "8885388ada7d22a5467277075f2558aa 0x1.d1e3bbbbbbbbcp+10 0x1.9290000000001p+11");
+      ("seed 23 ilp w2", 23, Config.Ilp, 2,
+       "ce0ab28aad7becad05bf4b8ca16598b7 0x1.d13aeeeeeeefp+10 0x1.9290000000001p+11");
+    ];
+  (* the second run replays the first run's cold solves from the cache *)
+  let cache = Solve_cache.create () in
+  let first = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp ~workers:1 () in
+  let replay = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp ~workers:1 () in
+  Alcotest.(check string) "cache first run"
+    "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11" first;
+  Alcotest.(check bool) "replay hits the cache" true (Solve_cache.hits cache > 0);
+  Alcotest.(check string) "cache replay"
+    "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11" replay
+
 let suite =
   [
     QCheck_alcotest.to_alcotest equivalence_property;
@@ -417,4 +511,5 @@ let suite =
     Alcotest.test_case "digest row order canonical" `Quick test_digest_row_order_canonical;
     Alcotest.test_case "digest coefficient-sensitive" `Quick
       test_digest_sensitive_to_coefficients;
+    Alcotest.test_case "golden driver digests" `Quick test_driver_golden;
   ]

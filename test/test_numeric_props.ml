@@ -16,20 +16,32 @@ let lbfgs_vs_cholesky =
       let a = random_psd rng n in
       let b = Array.init n (fun _ -> Cpla_util.Rng.gaussian rng) in
       let x_direct = Cholesky.solve a b in
-      let f x =
-        let ax = Mat.mul_vec a x in
-        let fx = (0.5 *. Vec.dot x ax) -. Vec.dot b x in
-        let g = Array.mapi (fun i v -> v -. b.(i)) ax in
-        (fx, g)
+      let ws = Lbfgs.Ws.create () in
+      let fx_out = Lbfgs.Ws.fx_out ws in
+      (* f(x) = ½xᵀAx − bᵀx over the first [n] cells: trial points live in
+         workspace buffers longer than [n] *)
+      let eval x g =
+        let fx = ref 0.0 in
+        for i = 0 to n - 1 do
+          let s = ref 0.0 in
+          for j = 0 to n - 1 do
+            s := !s +. (Mat.get a i j *. x.(j))
+          done;
+          g.(i) <- !s -. b.(i);
+          fx := !fx +. (x.(i) *. ((0.5 *. !s) -. b.(i)))
+        done;
+        fx_out.(0) <- !fx
       in
-      let res = Lbfgs.minimize ~max_iter:1000 ~grad_tol:1e-9 ~f (Array.make n 0.0) in
-      let err = Vec.norm_inf (Vec.sub res.Lbfgs.x x_direct) in
+      let x = Array.make n 0.0 in
+      Lbfgs.Ws.minimize ws ~n ~max_iter:1000 ~grad_tol:1e-9 ~eval x;
+      let err = Vec.norm_inf (Vec.sub x x_direct) in
       err < 1e-4)
 
 (* The workspace minimiser promises the exact floating-point operation
-   sequence of the list-based [minimize]: on the same objective it must
-   return bitwise-equal iterates after the same number of iterations.  The
-   objective is computed by one shared routine over the first [n] cells,
+   sequence of the list-based reference minimiser (test/lbfgs_reference.ml,
+   still named [Lbfgs.minimize] in the case name): on the same objective it
+   must return bitwise-equal iterates after the same number of iterations.
+   The objective is computed by one shared routine over the first [n] cells,
    since the workspace evaluates at trial points held in buffers longer
    than [n]. *)
 let lbfgs_ws_matches_minimize =
@@ -64,14 +76,14 @@ let lbfgs_ws_matches_minimize =
         let fx = quad x g in
         (fx, g)
       in
-      let reference = Lbfgs.minimize ~memory ~max_iter ~grad_tol ~f x0 in
+      let reference = Lbfgs_reference.minimize ~memory ~max_iter ~grad_tol ~f x0 in
       let ws = Lbfgs.Ws.create ~memory () in
       let fx_out = Lbfgs.Ws.fx_out ws in
       let x = Array.copy x0 in
       Lbfgs.Ws.minimize ws ~n ~max_iter ~grad_tol ~eval:(fun v g -> fx_out.(0) <- quad v g) x;
       let bits v = Int64.bits_of_float v in
-      Array.for_all2 (fun p q -> Int64.equal (bits p) (bits q)) reference.Lbfgs.x x
-      && reference.Lbfgs.iterations = Lbfgs.Ws.iterations ws)
+      Array.for_all2 (fun p q -> Int64.equal (bits p) (bits q)) reference.Lbfgs_reference.x x
+      && reference.Lbfgs_reference.iterations = Lbfgs.Ws.iterations ws)
 
 (* Eigenvalues shift exactly under A + tI. *)
 let eigen_shift =
