@@ -4,27 +4,25 @@
    project-wide symbol table and call graph, and enforces the project's
    domain-safety / determinism / hygiene rules (see `--rules` or
    DESIGN.md).  Paths not being linted are still loaded as resolution
-   context, so a partial lint sees the whole project.  Per-file summaries
-   persist across runs (`--cache`, default _build/.cpla-lint-cache), so a
-   warm run only re-analyzes changed files and their importers.  Exit
-   status: 0 clean, 1 findings, 124 usage/IO error — so CI can gate on
-   it. *)
+   context, so a partial lint sees the whole project.  Every run is one
+   cold pass over the sources.  Exit status: 0 clean, 1 findings, 124
+   usage/IO error — so CI can gate on it. *)
 
 open Cmdliner
 
 type format = Human | Json | Github | Sarif
 
-let render ?stats = function
+let render = function
   | Human -> Cpla_lint.Report.human
-  | Json -> Cpla_lint.Report.json ?stats
+  | Json -> Cpla_lint.Report.json
   | Github -> Cpla_lint.Report.github
   | Sarif -> Cpla_lint.Report.sarif
 
 (* machine formats must stay well-formed even on a clean tree *)
-let render_empty ?stats fmt formatter =
+let render_empty fmt formatter =
   match fmt with
   | Human -> Format.fprintf formatter "cpla-lint: 0 findings@."
-  | f -> render ?stats f formatter []
+  | f -> render f formatter []
 
 let parse_filter filter =
   match filter with
@@ -42,7 +40,7 @@ let parse_filter filter =
              (String.concat ", " unknown))
       else Ok (Some ids)
 
-let run fmt filter list_rules cache no_cache workers paths =
+let run fmt filter list_rules paths =
   if list_rules then begin
     Cpla_lint.Report.rules Format.std_formatter;
     0
@@ -53,9 +51,8 @@ let run fmt filter list_rules cache no_cache workers paths =
         Format.eprintf "cpla-lint: %s@." msg;
         124
     | Ok filter -> (
-        let cache_file = if no_cache then None else Some cache in
-        match Cpla_lint.Engine.lint_paths ~workers ?cache_file paths with
-        | all, stats -> (
+        match Cpla_lint.Engine.lint_paths paths with
+        | all -> (
             let findings =
               match filter with
               | None -> all
@@ -63,10 +60,10 @@ let run fmt filter list_rules cache no_cache workers paths =
             in
             match findings with
             | [] ->
-                render_empty ~stats fmt Format.std_formatter;
+                render_empty fmt Format.std_formatter;
                 0
             | findings ->
-                render ~stats fmt Format.std_formatter findings;
+                render fmt Format.std_formatter findings;
                 1)
         | exception Sys_error msg ->
             Format.eprintf "cpla-lint: %s@." msg;
@@ -83,10 +80,6 @@ let fmt =
           "Output format: $(b,human), $(b,json), $(b,github) (workflow-command \
            annotations) or $(b,sarif) (SARIF 2.1.0).")
 
-(* --json predates --format; kept as an alias so existing callers survive *)
-let json =
-  Arg.(value & flag & info [ "json" ] ~doc:"Shorthand for $(b,--format json).")
-
 let filter =
   Arg.(
     value
@@ -101,31 +94,6 @@ let list_rules =
         ~doc:
           "List the rule registry (with each rule's file-local vs whole-program \
            analysis tier) and exit.")
-
-let cache =
-  Arg.(
-    value
-    & opt string Cpla_lint.Summary.default_path
-    & info [ "cache" ] ~docv:"PATH"
-        ~doc:
-          "Summary cache file.  Loaded before the run (stale or corrupt caches \
-           degrade to a cold run) and refreshed after; a warm run only \
-           re-analyzes files whose content — or whose imports' content — \
-           changed.  Findings are identical either way.")
-
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Neither read nor write the summary cache (always a cold run).")
-
-let workers =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Domains used to summarize files in parallel (parsing stays \
-           sequential).  Findings do not depend on $(docv).")
 
 let paths =
   Arg.(
@@ -145,18 +113,16 @@ let cmd =
          rules (domain-race, impure-kernel, unused-export, \
          check-not-threaded) run over a project-wide symbol table and call \
          graph built from every source under $(i,PATH) plus the default \
-         roots.  Suppress a single finding with a [\\@cpla.allow \
+         roots.  Suppress a single finding with a [@cpla.allow \
          \"rule-id\"] attribute on the offending expression or let-binding \
          (for domain-race: at the capture or the creation site), or a whole \
-         file with [\\@\\@\\@cpla.allow \"rule-id\"].";
+         file with [@@@cpla.allow \"rule-id\"].";
       `S Manpage.s_exit_status;
       `P "0 on a clean tree, 1 when there are findings, 124 on IO errors.";
     ]
   in
   Cmd.v
     (Cmd.info "cpla_lint" ~doc ~man ~exits:[])
-    Term.(
-      const (fun fmt json -> run (if json then Json else fmt))
-      $ fmt $ json $ filter $ list_rules $ cache $ no_cache $ workers $ paths)
+    Term.(const run $ fmt $ filter $ list_rules $ paths)
 
 let () = exit (Cmd.eval' cmd)

@@ -411,13 +411,3 @@ let ablations () =
       Table.add_separator t)
     [ "adaptec1"; "bigblue1" ];
   Table.print t
-
-let all () =
-  fig1 ();
-  fig3b ();
-  fig7 ();
-  fig8 ();
-  fig9 ();
-  table2 ();
-  extended ();
-  ablations ()

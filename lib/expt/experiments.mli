@@ -27,21 +27,7 @@ val table2 : unit -> unit
 (** Full TILA-0.5% versus SDP-0.5% comparison across all 15 benchmarks with
     average and ratio rows. *)
 
-val all : unit -> unit
-  [@@cpla.allow "unused-export"]
-(** Run every experiment in paper order. *)
-
 (** {2 Building blocks (exposed for the CLI and tests)} *)
-
-val run_tila :
-  Suite.prepared -> released:int array -> Cpla.Metrics.t
-  [@@cpla.allow "unused-export"]
-(** Run the TILA baseline on a prepared design and measure. *)
-
-val run_cpla :
-  ?config:Cpla.Config.t -> Suite.prepared -> released:int array -> Cpla.Metrics.t
-  [@@cpla.allow "unused-export"]
-(** Run CPLA (method per [config], default SDP) and measure. *)
 
 val released_at : Suite.prepared -> ratio:float -> int array
 (** The release set used for a ratio — identical across methods because

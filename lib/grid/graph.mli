@@ -31,9 +31,6 @@ val width : t -> int
 val height : t -> int
 val num_layers : t -> int
 
-val in_bounds : t -> x:int -> y:int -> bool
-  [@@cpla.allow "unused-export"]
-
 val edge_exists : t -> edge2d -> bool
 (** Whether the 2-D edge lies inside the grid. *)
 

@@ -274,7 +274,7 @@ type unit_facts = {
   af_witnesses : (string list * witness) list;  (** in collection order *)
 }
 
-let collect (_u : Symtab.unit_info) (str : structure) =
+let collect (str : structure) =
   let roots = ref [] and witnesses = ref [] in
   collect_unit str
     ~on_root:(fun key loc -> roots := (key, loc) :: !roots)

@@ -21,12 +21,11 @@
     [Gc.allocated_bytes] budget tests. *)
 
 type unit_facts
-(** One unit's marshalable allocation slice: annotated roots and
-    per-binding allocation witnesses, keyed by value path. *)
+(** One unit's allocation slice: annotated roots and per-binding
+    allocation witnesses, keyed by value path. *)
 
-val collect : Symtab.unit_info -> Ppxlib.structure -> unit_facts
-(** Syntactic, AST-only walk of one unit — no symtab reads, safe on any
-    domain. *)
+val collect : Ppxlib.structure -> unit_facts
+(** Syntactic, AST-only walk of one unit — no symtab reads. *)
 
 val check :
   allowed:(string -> string -> Ppxlib.Location.t -> bool) ->

@@ -140,7 +140,7 @@ type unit_facts = {
   bf_witnesses : (string list * witness) list;  (** in collection order *)
 }
 
-let collect (_u : Symtab.unit_info) (str : structure) =
+let collect (str : structure) =
   let roots = ref [] and witnesses = ref [] in
   collect_unit str
     ~on_root:(fun key loc -> roots := (key, loc) :: !roots)

@@ -16,12 +16,11 @@
     (e.g. a thunk that actually runs on a worker domain). *)
 
 type unit_facts
-(** One unit's marshalable blocking slice: [[\@cpla.event_loop]] roots and
+(** One unit's blocking slice: [[\@cpla.event_loop]] roots and
     per-binding blocking witnesses, keyed by value path. *)
 
-val collect : Symtab.unit_info -> Ppxlib.structure -> unit_facts
-(** Syntactic, AST-only walk of one unit — no symtab reads, safe on any
-    domain. *)
+val collect : Ppxlib.structure -> unit_facts
+(** Syntactic, AST-only walk of one unit — no symtab reads. *)
 
 val check :
   allowed:(string -> string -> Ppxlib.Location.t -> bool) ->

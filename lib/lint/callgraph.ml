@@ -43,55 +43,16 @@ type t = {
   kinds : (key, (kind * witness) list) Hashtbl.t;
 }
 
-(* ---- per-unit facts (the cacheable summary slice) ------------------------- *)
+(* ---- per-unit facts ------------------------------------------------------- *)
 
-(* Everything below is uid-free: function keys are paths within the
-   summarized unit itself (every key a walk creates is own-unit), and
-   cross-unit references are path-symbolic {!Symtab.sym}s internalized at
-   assembly time. *)
-
-type xresolved = Xsym of Symtab.sym | Xext of string list | Xlocal of string
-
-type xcall = {
-  xc_callee : xresolved;
-  xc_labels : arg_label list;
-  xc_loc : Location.t;
-  xc_in_loop : bool;
-}
-
-type xfn = {
-  xf_path : string list;
-  xf_loc : Location.t;
-  xf_params : arg_label list;
-  xf_calls : xcall list;
-  xf_imps : (kind * string * Location.t) list;
-}
-
-type xkernel = {
-  xk_prim : Symtab.primitive;
-  xk_loc : Location.t;
-  xk_target : Symtab.sym option;
-}
-
+(* One unit's slice of the graph, in walk order: function keys are own-unit,
+   references and kernel targets carry the uids of the run's symtab. *)
 type unit_facts = {
-  uf_fns : xfn list;
-  uf_kernels : xkernel list;
-  uf_refs : Symtab.sym list;
-  uf_included : string list;
+  uf_fns : fn list;
+  uf_kernels : kernel_site list;
+  uf_refs : key list;
+  uf_included : int list;
 }
-
-let xresolved_of symtab = function
-  | Symtab.Sym (uid, p) -> Xsym { Symtab.s_unit = Symtab.path_of symtab uid; s_path = p }
-  | Symtab.Ext p -> Xext p
-  | Symtab.Local n -> Xlocal n
-
-let resolved_of symtab = function
-  | Xsym s -> (
-      match Symtab.internalize symtab s with
-      | Some (uid, p) -> Symtab.Sym (uid, p)
-      | None -> Symtab.Ext s.Symtab.s_path)
-  | Xext p -> Symtab.Ext p
-  | Xlocal n -> Symtab.Local n
 
 (* ---- impure external idents ----------------------------------------------- *)
 
@@ -133,8 +94,7 @@ let mutator_ident = function
    what the current nested-module path is.
 
    The walk writes into per-unit sinks only (plus reads of the shared
-   symtab), so {!collect} is safe to run for different units on different
-   domains.  Returns the function keys in creation order so the facts list
+   symtab).  Returns the function keys in creation order so the facts list
    — and therefore every downstream hashtable's insertion sequence — is a
    deterministic function of the unit's content. *)
 
@@ -406,50 +366,12 @@ let collect symtab (u : Symtab.unit_info) (str : structure) =
   let included = Hashtbl.create 4 in
   let kernels = ref [] in
   let order = walk_unit ~symtab ~fns ~refs ~included ~kernels u str in
-  let xsym (uid, path) = { Symtab.s_unit = Symtab.path_of symtab uid; s_path = path } in
-  let uf_fns =
-    List.map
-      (fun key ->
-        let f = Hashtbl.find fns key in
-        {
-          xf_path = snd key;
-          xf_loc = f.fn_loc;
-          xf_params = f.fn_params;
-          xf_calls =
-            List.map
-              (fun c ->
-                {
-                  xc_callee = xresolved_of symtab c.callee;
-                  xc_labels = c.arg_labels;
-                  xc_loc = c.call_loc;
-                  xc_in_loop = c.in_loop;
-                })
-              f.fn_calls;
-          xf_imps = f.fn_imps;
-        })
-      order
-  in
-  let uf_refs =
-    Hashtbl.fold (fun k () acc -> xsym k :: acc) refs [] |> List.sort compare
-  in
-  let uf_included =
-    Hashtbl.fold (fun uid () acc -> Symtab.path_of symtab uid :: acc) included []
-    |> List.sort compare
-  in
-  let uf_kernels =
-    List.map
-      (fun k -> { xk_prim = k.k_prim; xk_loc = k.k_loc; xk_target = Option.map xsym k.k_target })
-      !kernels
-  in
-  { uf_fns; uf_kernels; uf_refs; uf_included }
-
-(* Unit paths this summary's facts were derived against: every unit whose
-   content can change the facts (global-mutability lookups, includes)
-   without changing this file — the engine re-summarizes dependents of a
-   dirty file through this. *)
-let facts_deps uf =
-  List.sort_uniq String.compare
-    (List.map (fun s -> s.Symtab.s_unit) uf.uf_refs @ uf.uf_included)
+  {
+    uf_fns = List.map (Hashtbl.find fns) order;
+    uf_kernels = !kernels;
+    uf_refs = Hashtbl.fold (fun k () acc -> k :: acc) refs [];
+    uf_included = Hashtbl.fold (fun uid () acc -> uid :: acc) included [];
+  }
 
 (* ---- purity fixpoint ------------------------------------------------------ *)
 
@@ -484,10 +406,10 @@ let fixpoint t =
       t.fns
   done
 
-(* Assemble the whole-program graph from per-unit facts (in uid order — the
-   insertion sequence, and with it every hashtable's iteration order, is
-   identical no matter which facts came from the cache and which were just
-   collected) and run the purity fixpoint. *)
+(* Assemble the whole-program graph from per-unit facts in uid order, so
+   every hashtable's insertion sequence — and with it every
+   iteration-order-dependent result — follows the worklist, and run the
+   purity fixpoint. *)
 let build_of_facts symtab (facts : unit_facts array) =
   let t =
     {
@@ -499,57 +421,13 @@ let build_of_facts symtab (facts : unit_facts array) =
       kinds = Hashtbl.create 512;
     }
   in
-  Array.iteri
-    (fun uid uf ->
-      List.iter
-        (fun xf ->
-          let key = (uid, xf.xf_path) in
-          Hashtbl.replace t.fns key
-            {
-              fn_key = key;
-              fn_loc = xf.xf_loc;
-              fn_params = xf.xf_params;
-              fn_calls =
-                List.map
-                  (fun xc ->
-                    {
-                      callee = resolved_of symtab xc.xc_callee;
-                      arg_labels = xc.xc_labels;
-                      call_loc = xc.xc_loc;
-                      in_loop = xc.xc_in_loop;
-                    })
-                  xf.xf_calls;
-              fn_imps = xf.xf_imps;
-            })
-        uf.uf_fns;
-      List.iter
-        (fun s ->
-          match Symtab.internalize symtab s with
-          | Some k -> Hashtbl.replace t.refs k ()
-          | None -> ())
-        uf.uf_refs;
-      List.iter
-        (fun p ->
-          match Symtab.uid_of_path symtab p with
-          | Some iuid -> Hashtbl.replace t.included iuid ()
-          | None -> ())
-        uf.uf_included)
+  Array.iter
+    (fun uf ->
+      List.iter (fun f -> Hashtbl.replace t.fns f.fn_key f) uf.uf_fns;
+      List.iter (fun k -> Hashtbl.replace t.refs k ()) uf.uf_refs;
+      List.iter (fun uid -> Hashtbl.replace t.included uid ()) uf.uf_included)
     facts;
-  t.kernels <-
-    List.concat
-      (List.mapi
-         (fun uid uf ->
-           List.map
-             (fun xk ->
-               {
-                 k_unit = uid;
-                 k_prim = xk.xk_prim;
-                 k_loc = xk.xk_loc;
-                 k_target =
-                   Option.bind xk.xk_target (fun s -> Symtab.internalize symtab s);
-               })
-             uf.uf_kernels)
-         (Array.to_list facts));
+  t.kernels <- List.concat_map (fun uf -> uf.uf_kernels) (Array.to_list facts);
   fixpoint t;
   t
 
@@ -562,7 +440,6 @@ let referenced t key = Hashtbl.mem t.refs key
 let included t uid = Hashtbl.mem t.included uid
 
 let fns t = Hashtbl.fold (fun _ f acc -> f :: acc) t.fns []
-
 
 let kernels t = t.kernels
 

@@ -3,11 +3,10 @@
     {!collect} walks one unit and records, per (pseudo-)function: the
     calls it makes (with argument labels, for [check-not-threaded]), the
     external value references it contains (for [unused-export]), and its
-    local impurities — as marshalable, uid-free {!unit_facts} the
-    incremental cache persists.  {!build_of_facts} assembles the
-    whole-program graph from the per-unit facts (cached or fresh) and runs
-    the fixpoint that propagates the determinism-breaking impurity kinds
-    through resolved call edges (for [impure-kernel]).
+    local impurities.  {!build_of_facts} assembles the whole-program graph
+    from the per-unit facts and runs the fixpoint that propagates the
+    determinism-breaking impurity kinds through resolved call edges (for
+    [impure-kernel]).
 
     Pseudo-functions: a named local closure ([let solve f = ...] inside a
     definition) and an anonymous kernel lambda each get their own key, so a
@@ -55,26 +54,20 @@ type kernel_site = {
 }
 
 type unit_facts
-(** One unit's marshalable summary slice: its (pseudo-)functions with
-    their calls and local impurities, kernel launch sites, cross-unit
-    value references and [include]s — all path-symbolic, no uids. *)
+(** One unit's slice of the graph: its (pseudo-)functions with their calls
+    and local impurities, kernel launch sites, cross-unit value references
+    and [include]s. *)
 
 type t
 
 val collect : Symtab.t -> Symtab.unit_info -> structure -> unit_facts
-(** Walk one unit's AST.  Reads only the shared symtab, so different
-    units may be collected on different domains concurrently. *)
-
-val facts_deps : unit_facts -> string list
-(** Paths of the units this summary resolved references into — the
-    import edges the engine uses to re-summarize dependents of a dirty
-    file. *)
+(** Walk one unit's AST against the run's assembled symtab. *)
 
 val build_of_facts : Symtab.t -> unit_facts array -> t
 (** Assemble the graph from per-unit facts, indexed by uid, and run the
-    purity fixpoint.  Cold and warm runs share this single code path, so
-    hashtable insertion order — and with it every iteration-order-dependent
-    result — is a deterministic function of the merged facts. *)
+    purity fixpoint.  Facts are inserted in uid order, so every
+    iteration-order-dependent result is a deterministic function of the
+    worklist. *)
 
 val kinds : t -> key -> (kind * witness) list
 

@@ -58,13 +58,13 @@ type event =
   | E_race of race  (** unconditional race, already linted/area/risky-gated *)
   | E_defcaps of {
       dc_fn : string list;
-      dc_target : Symtab.sym;
+      dc_target : key;
       dc_prim : string;
       dc_loc : Location.t;
     }  (** resolved-symbol kernel: consult the target's def-captures *)
   | E_arg of {
       a_fn : string list;
-      a_callee : Symtab.sym;
+      a_callee : key;
       a_pid : param_id;
       a_cls : arg_class;
       a_loc : Location.t;
@@ -268,7 +268,6 @@ let collect symtab (u : Symtab.unit_info) (str : structure) =
   let events = ref [] in
   let def_caps = ref [] in
   let emit ev = events := ev :: !events in
-  let xsym (uid, path) = { Symtab.s_unit = Symtab.path_of symtab uid; s_path = path } in
   let fire ~loc ~origin steps =
     if fire_ok then
       emit
@@ -337,7 +336,7 @@ let collect symtab (u : Symtab.unit_info) (str : structure) =
                     (E_defcaps
                        {
                          dc_fn = snd ckey;
-                         dc_target = xsym (uid, path);
+                         dc_target = (uid, path);
                          dc_prim = Symtab.primitive_name prim;
                          dc_loc = loc;
                        })
@@ -387,7 +386,7 @@ let collect symtab (u : Symtab.unit_info) (str : structure) =
                           (E_arg
                              {
                                a_fn = snd ckey;
-                               a_callee = xsym (uid, path);
+                               a_callee = (uid, path);
                                a_pid = pid;
                                a_cls = cls;
                                a_loc = e.pexp_loc;
@@ -623,95 +622,88 @@ let solve symtab (facts : unit_facts array) =
         | E_seed (fn, pid, ei) -> add_esc (uid, fn) pid ei
         | E_race r -> if emitting then races := r :: !races
         | E_defcaps { dc_fn; dc_target; dc_prim; dc_loc } -> (
-            match Symtab.internalize symtab dc_target with
-            | Some tkey -> (
-                match Hashtbl.find_opt def_caps tkey with
-                | Some caps ->
-                    let step_of c =
-                      Printf.sprintf "referenced%s by `%s`, used as the kernel of %s at %s"
-                        (if c.c_written then " and written" else "")
-                        (pretty symtab tkey) dc_prim (at dc_loc)
-                    in
+            match Hashtbl.find_opt def_caps dc_target with
+            | Some caps ->
+                let step_of c =
+                  Printf.sprintf "referenced%s by `%s`, used as the kernel of %s at %s"
+                    (if c.c_written then " and written" else "")
+                    (pretty symtab dc_target) dc_prim (at dc_loc)
+                in
+                List.iter
+                  (fun c ->
+                    match c.c_what with
+                    | Outer info -> fire_info ~loc:dc_loc ~written:c.c_written info [ step_of c ]
+                    | Param pid ->
+                        add_esc (uid, dc_fn) pid
+                          { e_kind = Captured; e_written = c.c_written; e_desc = step_of c })
+                  caps
+            | None -> ())
+        | E_arg { a_fn; a_callee = ckey; a_pid; a_cls; a_loc } -> (
+            match Hashtbl.find_opt esc (ckey, a_pid) with
+            | None -> ()
+            | Some ei -> (
+                let pass_step =
+                  Printf.sprintf "passed to %s (%s) at %s" (pretty symtab ckey)
+                    (describe_pid a_pid) (at a_loc)
+                in
+                match (a_cls, ei.e_kind) with
+                | A_mut info, Captured ->
+                    fire_info ~loc:a_loc ~written:ei.e_written info [ pass_step; ei.e_desc ]
+                | A_closure (name, caps), Kernel ->
                     List.iter
                       (fun c ->
                         match c.c_what with
                         | Outer info ->
-                            fire_info ~loc:dc_loc ~written:c.c_written info [ step_of c ]
-                        | Param pid ->
-                            add_esc (uid, dc_fn) pid
-                              { e_kind = Captured; e_written = c.c_written; e_desc = step_of c })
+                            fire_info ~loc:a_loc ~written:c.c_written info
+                              [
+                                Printf.sprintf "captured%s by `%s`"
+                                  (if c.c_written then " and written" else "")
+                                  name;
+                                pass_step;
+                                ei.e_desc;
+                              ]
+                        | Param pid' ->
+                            add_esc (uid, a_fn) pid'
+                              {
+                                e_kind = Captured;
+                                e_written = c.c_written;
+                                e_desc =
+                                  Printf.sprintf "captured by `%s`, %s, then %s" name
+                                    pass_step ei.e_desc;
+                              })
                       caps
-                | None -> ())
-            | None -> ())
-        | E_arg { a_fn; a_callee; a_pid; a_cls; a_loc } -> (
-            match Symtab.internalize symtab a_callee with
-            | None -> ()
-            | Some ckey -> (
-                match Hashtbl.find_opt esc (ckey, a_pid) with
-                | None -> ()
-                | Some ei -> (
-                    let pass_step =
-                      Printf.sprintf "passed to %s (%s) at %s" (pretty symtab ckey)
-                        (describe_pid a_pid) (at a_loc)
-                    in
-                    match (a_cls, ei.e_kind) with
-                    | A_mut info, Captured ->
-                        fire_info ~loc:a_loc ~written:ei.e_written info [ pass_step; ei.e_desc ]
-                    | A_closure (name, caps), Kernel ->
-                        List.iter
-                          (fun c ->
-                            match c.c_what with
-                            | Outer info ->
-                                fire_info ~loc:a_loc ~written:c.c_written info
-                                  [
-                                    Printf.sprintf "captured%s by `%s`"
-                                      (if c.c_written then " and written" else "")
-                                      name;
-                                    pass_step;
+                | A_param pid_local, _ ->
+                    add_esc (uid, a_fn) pid_local
+                      {
+                        e_kind = ei.e_kind;
+                        e_written = ei.e_written;
+                        e_desc = Printf.sprintf "%s, then %s" pass_step ei.e_desc;
+                      }
+                | A_global info, Captured ->
+                    fire_info ~loc:a_loc ~written:ei.e_written info [ pass_step; ei.e_desc ]
+                | A_lambda caps, Kernel ->
+                    List.iter
+                      (fun c ->
+                        match c.c_what with
+                        | Outer info ->
+                            fire_info ~loc:a_loc ~written:c.c_written info
+                              [
+                                Printf.sprintf "captured%s by a closure %s"
+                                  (if c.c_written then " and written" else "")
+                                  pass_step;
+                                ei.e_desc;
+                              ]
+                        | Param pid' ->
+                            add_esc (uid, a_fn) pid'
+                              {
+                                e_kind = Captured;
+                                e_written = c.c_written;
+                                e_desc =
+                                  Printf.sprintf "captured by a closure %s, then %s" pass_step
                                     ei.e_desc;
-                                  ]
-                            | Param pid' ->
-                                add_esc (uid, a_fn) pid'
-                                  {
-                                    e_kind = Captured;
-                                    e_written = c.c_written;
-                                    e_desc =
-                                      Printf.sprintf "captured by `%s`, %s, then %s" name
-                                        pass_step ei.e_desc;
-                                  })
-                          caps
-                    | A_param pid_local, _ ->
-                        add_esc (uid, a_fn) pid_local
-                          {
-                            e_kind = ei.e_kind;
-                            e_written = ei.e_written;
-                            e_desc = Printf.sprintf "%s, then %s" pass_step ei.e_desc;
-                          }
-                    | A_global info, Captured ->
-                        fire_info ~loc:a_loc ~written:ei.e_written info [ pass_step; ei.e_desc ]
-                    | A_lambda caps, Kernel ->
-                        List.iter
-                          (fun c ->
-                            match c.c_what with
-                            | Outer info ->
-                                fire_info ~loc:a_loc ~written:c.c_written info
-                                  [
-                                    Printf.sprintf "captured%s by a closure %s"
-                                      (if c.c_written then " and written" else "")
-                                      pass_step;
-                                    ei.e_desc;
-                                  ]
-                            | Param pid' ->
-                                add_esc (uid, a_fn) pid'
-                                  {
-                                    e_kind = Captured;
-                                    e_written = c.c_written;
-                                    e_desc =
-                                      Printf.sprintf "captured by a closure %s, then %s" pass_step
-                                        ei.e_desc;
-                                  })
-                          caps
-                    | _ -> ()))))
+                              })
+                      caps
+                | _ -> ())))
       f.df_events
   in
   let process_all ~emitting = Array.iteri (process ~emitting) facts in

@@ -14,8 +14,8 @@
     "caller allocates -> helper forwards -> worker captures" are reported
     with the complete hop-by-hop story.
 
-    The incremental split: {!collect} walks one unit's AST and records a
-    marshalable event stream — unconditional escape seeds and races, plus
+    The two-phase split: {!collect} walks one unit's AST and records an
+    event stream — unconditional escape seeds and races, plus
     deferred events whose outcome depends on the whole-program escape or
     def-capture tables; {!solve} replays the merged streams in uid order to
     the fixpoint and then once more to emit races, never re-touching an
@@ -38,12 +38,11 @@ type race = {
 }
 
 type unit_facts
-(** One unit's marshalable mutable-flow slice: its def-captures and its
-    walk-ordered event stream. *)
+(** One unit's mutable-flow slice: its def-captures and its walk-ordered
+    event stream. *)
 
 val collect : Symtab.t -> Symtab.unit_info -> structure -> unit_facts
-(** Walk one unit's AST.  Reads only the shared symtab, so different units
-    may be collected on different domains concurrently. *)
+(** Walk one unit's AST against the run's assembled symtab. *)
 
 val solve : Symtab.t -> unit_facts array -> race list
 (** Run the escape fixpoint and emission pass over per-unit facts indexed

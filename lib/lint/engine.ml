@@ -1,21 +1,31 @@
-(* Summary-based incremental driver.
+(* Two-phase lint driver.
 
-   Phase 1 turns each compilation unit into a self-contained {!Summary.entry}:
-   AST-free {!Symtab} metadata, the file-local {!Checks} findings and allow
-   spans, and the per-unit fact slices of the four whole-program analyses.
-   Parsing stays sequential (compiler-libs' lexer is global state); the
-   analysis collectors run in parallel over {!Cpla_util.Pool}.  On a warm run
-   only digest-changed units — plus units whose recorded imports changed —
-   are re-summarized; everything else is reused from the cache.
+   Phase 1 turns each compilation unit into an {!entry}: the file-local
+   {!Checks} findings and allow spans, and the per-unit fact slices of the
+   four whole-program analyses.  Parsing is sequential (compiler-libs'
+   lexer is global state) and precedes summarization, because the walkers
+   resolve names against the symtab assembled from every unit.
 
-   Phase 2 never touches an AST: it assembles the symtab from entry metadata,
-   rebuilds the {!Callgraph} and replays the {!Dataflow} event streams from
-   entry facts, and layers the whole-program rules on top.  Cold and warm
-   runs share this code path verbatim, so findings are a deterministic
-   function of the entries alone — byte-identical regardless of cache state
-   or which domains summarized what. *)
+   Phase 2 never touches an AST: it builds the {!Callgraph} and replays the
+   {!Dataflow} event streams from the entries' facts in uid order, and
+   layers the whole-program rules on top, so findings are a deterministic
+   function of the worklist. *)
 
 type source = Symtab.source = { src_path : string; contents : string; linted : bool }
+
+(* Everything phase 2 needs about one compilation unit besides its symtab
+   metadata. *)
+type entry = {
+  e_file_allows : (string * Ppxlib.Location.t) list;
+  e_allow_spans : (string * Ppxlib.Location.t * Ppxlib.Location.t) list;
+  e_local_findings : Finding.t list;  (** single-file syntactic findings *)
+  e_local_uses : (string * Ppxlib.Location.t) list;
+      (** allow spans consumed by local findings, replayed for stale-allow *)
+  e_cg : Callgraph.unit_facts;
+  e_df : Dataflow.unit_facts;
+  e_alloc : Alloceffect.unit_facts;
+  e_block : Blocking.unit_facts;
+}
 
 (* ---- whole-program suppression -------------------------------------------- *)
 
@@ -24,7 +34,7 @@ type source = Symtab.source = { src_path : string; contents : string; linted : b
    location, or the rule is allowed file-wide.  Every successful
    suppression is recorded against the winning annotation's identity (its
    id location), and the per-file walk's suppressions are replayed from the
-   summaries through [use] — what is left unrecorded at the end is stale. *)
+   entries through [use] — what is left unrecorded at the end is stale. *)
 let within (span : Ppxlib.Location.t) (loc : Ppxlib.Location.t) =
   loc.loc_start.pos_cnum >= span.loc_start.pos_cnum
   && loc.loc_end.pos_cnum <= span.loc_end.pos_cnum
@@ -40,7 +50,7 @@ type allows = {
           [(path, id, id_loc)]. *)
 }
 
-let build_allows symtab (entries : Summary.entry array) =
+let build_allows symtab (entries : entry array) =
   let tbl :
       ( string,
         (string * Ppxlib.Location.t) list
@@ -55,10 +65,10 @@ let build_allows symtab (entries : Summary.entry array) =
   let annots : (string * string * Ppxlib.Location.t) list ref = ref [] in
   let used : (string * string * int, unit) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
-    (fun uid (e : Summary.entry) ->
+    (fun uid (e : entry) ->
       let u = Symtab.unit symtab uid in
-      let file_ids = e.Summary.e_file_allows in
-      let spans = e.Summary.e_allow_spans in
+      let file_ids = e.e_file_allows in
+      let spans = e.e_allow_spans in
       Hashtbl.replace tbl u.Symtab.path (file_ids, spans);
       if u.Symtab.linted then begin
         let seen = Hashtbl.create 16 in
@@ -276,7 +286,7 @@ let check_not_threaded ~allowed symtab cg =
 
 (* ---- phase 1: summarize one unit ------------------------------------------- *)
 
-let summarize symtab (u : Symtab.unit_info) (str : Ppxlib.structure) ~digest ~intf_digest =
+let summarize symtab (u : Symtab.unit_info) (str : Ppxlib.structure) =
   let uses = ref [] in
   let local_findings =
     if u.Symtab.linted && u.Symtab.parse_exn = None then
@@ -286,47 +296,35 @@ let summarize symtab (u : Symtab.unit_info) (str : Ppxlib.structure) ~digest ~in
         str
     else []
   in
-  let cg = Callgraph.collect symtab u str in
   {
-    Summary.e_digest = digest;
-    e_intf_digest = intf_digest;
-    e_meta = u;
     e_file_allows = Checks.file_allow_ids str;
     e_allow_spans = Checks.allow_spans str;
     e_local_findings = local_findings;
     e_local_uses = List.rev !uses;
-    e_cg = cg;
+    e_cg = Callgraph.collect symtab u str;
     e_df = Dataflow.collect symtab u str;
-    e_alloc = Alloceffect.collect u str;
-    e_block = Blocking.collect u str;
-    e_deps =
-      List.filter (fun p -> not (String.equal p u.Symtab.path)) (Callgraph.facts_deps cg);
+    e_alloc = Alloceffect.collect str;
+    e_block = Blocking.collect str;
   }
 
-(* ---- phase 2: findings from entries alone ----------------------------------- *)
+(* ---- phase 2: findings from entries alone ---------------------------------- *)
 
-let solve_entries symtab (entries : Summary.entry array) =
-  let cg =
-    Callgraph.build_of_facts symtab (Array.map (fun e -> e.Summary.e_cg) entries)
-  in
+let solve symtab (entries : entry array) =
+  let cg = Callgraph.build_of_facts symtab (Array.map (fun e -> e.e_cg) entries) in
   let allows = build_allows symtab entries in
   let allowed = allows.allowed in
   let findings = ref [] in
   let add fs = findings := fs @ !findings in
   Array.iteri
-    (fun uid (e : Summary.entry) ->
+    (fun uid (e : entry) ->
       let u = Symtab.unit symtab uid in
       if u.Symtab.linted then begin
-        List.iter (fun (id, id_loc) -> allows.use u.Symtab.path id id_loc) e.Summary.e_local_uses;
+        List.iter (fun (id, id_loc) -> allows.use u.Symtab.path id id_loc) e.e_local_uses;
         (match u.Symtab.parse_exn with
         | Some msg -> add [ Finding.file_level ~file:u.Symtab.path ~rule:"parse-error" ~msg ]
-        | None -> add e.Summary.e_local_findings);
+        | None -> add e.e_local_findings);
         if u.Symtab.parsed && u.Symtab.area = Checks.Lib && not u.Symtab.has_intf then (
-          match
-            List.find_opt
-              (fun (id, _) -> String.equal id "missing-mli")
-              e.Summary.e_file_allows
-          with
+          match List.find_opt (fun (id, _) -> String.equal id "missing-mli") e.e_file_allows with
           | Some (id, id_loc) -> allows.use u.Symtab.path id id_loc
           | None ->
               add
@@ -352,17 +350,12 @@ let solve_entries symtab (entries : Summary.entry array) =
         | None -> ()
       end)
     entries;
-  add
-    (domain_race ~allowed
-       (Dataflow.solve symtab (Array.map (fun e -> e.Summary.e_df) entries)));
+  add (domain_race ~allowed (Dataflow.solve symtab (Array.map (fun e -> e.e_df) entries)));
   add (impure_kernel ~allowed symtab cg);
   add (unused_export symtab cg);
   add (check_not_threaded ~allowed symtab cg);
-  add
-    (Alloceffect.check ~allowed symtab cg
-       (Array.map (fun e -> e.Summary.e_alloc) entries));
-  add
-    (Blocking.check ~allowed symtab cg (Array.map (fun e -> e.Summary.e_block) entries));
+  add (Alloceffect.check ~allowed symtab cg (Array.map (fun e -> e.e_alloc) entries));
+  add (Blocking.check ~allowed symtab cg (Array.map (fun e -> e.e_block) entries));
   (* stale-allow runs last: every rule above has by now recorded which
      annotations earned their keep *)
   add
@@ -378,115 +371,25 @@ let solve_entries symtab (entries : Summary.entry array) =
        (allows.stale ()));
   List.sort_uniq Finding.compare !findings
 
-(* ---- incremental driver ----------------------------------------------------- *)
+(* ---- driver ---------------------------------------------------------------- *)
 
-let norm p = (Checks.scope_of_path p).Checks.path
-
-(* The worklist shape: ordered (path, linted, has_intf) triples.  Any change
-   — a unit added, removed, reordered, or flipping its linted/interface
-   status — invalidates the whole cache, so entry-level reuse only ever has
-   to reason about content edits to a fixed unit set. *)
-let shape_of pairs =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          (List.map
-             (fun ((s : source), intf) ->
-               Printf.sprintf "%s\x01%b\x01%b" (norm s.src_path) s.linted (intf <> None))
-             pairs)))
-
-let pair_sources (sources : source list) =
-  let impls = List.filter (fun s -> Filename.check_suffix s.src_path ".ml") sources in
-  let intfs = List.filter (fun s -> Filename.check_suffix s.src_path ".mli") sources in
-  let intf_for path = List.find_opt (fun s -> String.equal s.src_path (path ^ "i")) intfs in
-  List.map (fun (s : source) -> (s, intf_for s.src_path)) impls
-
-let lint_incremental ?(workers = 1) ~cache sources =
-  let pairs = pair_sources sources in
-  let shape = shape_of pairs in
-  let keyed =
-    List.map
-      (fun ((s : source), intf) ->
-        ( s,
-          intf,
-          norm s.src_path,
-          Digest.string s.contents,
-          Option.map (fun (i : source) -> Digest.string i.contents) intf ))
-      pairs
+let lint_sources (sources : source list) =
+  let intf_for path =
+    List.find_opt (fun s -> String.equal s.src_path (path ^ "i")) sources
   in
-  (* dirty = digest-changed ∪ units importing a digest-changed unit.  One hop
-     suffices: the cross-module fixpoints are recomputed from all entries
-     every run, and a change in the *set* of units is a shape change. *)
-  let reusable =
-    List.map
-      (fun (_, _, path, digest, intf_digest) ->
-        match Summary.find cache ~shape path with
-        | Some e
-          when String.equal e.Summary.e_digest digest
-               && e.Summary.e_intf_digest = intf_digest ->
-            Some e
-        | _ -> None)
-      keyed
-  in
-  let changed : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter2
-    (fun (_, _, path, _, _) reuse ->
-      if reuse = None then Hashtbl.replace changed path ())
-    keyed reusable;
-  let items =
-    List.map2
-      (fun (s, intf, path, digest, intf_digest) reuse ->
-        match reuse with
-        | Some e when not (List.exists (Hashtbl.mem changed) e.Summary.e_deps) ->
-            `Reused e
-        | _ ->
-            (* sequential: compiler-libs' lexer state is global *)
-            let u, str = Symtab.parse_source s ~intf in
-            `Dirty (u, str, path, digest, intf_digest))
-      keyed reusable
-  in
-  let symtab =
-    Symtab.assemble
-      (List.map
-         (function `Reused e -> e.Summary.e_meta | `Dirty (u, _, _, _, _) -> u)
-         items)
-  in
-  let dirty =
+  (* sequential: compiler-libs' lexer state is global *)
+  let parsed =
     List.filter_map
-      (function
-        | uid, `Dirty (_, str, _, digest, intf_digest) ->
-            Some (uid, str, digest, intf_digest)
-        | _, `Reused _ -> None)
-      (List.mapi (fun uid it -> (uid, it)) items)
+      (fun s ->
+        if Filename.check_suffix s.src_path ".ml" then
+          Some (Symtab.parse_source s ~intf:(intf_for s.src_path))
+        else None)
+      sources
   in
-  let fresh =
-    Cpla_util.Pool.parallel_map ~workers
-      (fun (uid, str, digest, intf_digest) ->
-        (uid, summarize symtab (Symtab.unit symtab uid) str ~digest ~intf_digest))
-      (Array.of_list dirty)
-  in
-  let fresh_tbl : (int, Summary.entry) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter (fun (uid, e) -> Hashtbl.replace fresh_tbl uid e) fresh;
-  let entries =
-    Array.of_list
-      (List.mapi
-         (fun uid -> function
-           | `Reused e -> e
-           | `Dirty _ -> Hashtbl.find fresh_tbl uid)
-         items)
-  in
-  let findings = solve_entries symtab entries in
-  let cache' =
-    Summary.v ~shape
-      (Array.to_list (Array.mapi (fun uid e -> (Symtab.path_of symtab uid, e)) entries))
-  in
-  let files = Array.length entries in
-  let summarized = Array.length fresh in
-  (cache', findings, { Summary.files; summarized; reused = files - summarized })
-
-let lint_sources ?workers sources =
-  let _, findings, _ = lint_incremental ?workers ~cache:Summary.empty sources in
-  findings
+  let symtab = Symtab.assemble (List.map fst parsed) in
+  solve symtab
+    (Array.of_list
+       (List.mapi (fun uid (_, str) -> summarize symtab (Symtab.unit symtab uid) str) parsed))
 
 let lint_string ?(has_mli = true) ~filename contents =
   let path = (Checks.scope_of_path filename).Checks.path in
@@ -502,6 +405,8 @@ let lint_string ?(has_mli = true) ~filename contents =
   lint_sources sources
 
 (* ---- filesystem ------------------------------------------------------------ *)
+
+let norm p = (Checks.scope_of_path p).Checks.path
 
 let read_file path =
   let ic = open_in_bin path in
@@ -553,11 +458,6 @@ let read_sources ?(context = default_roots) paths =
   let sources = List.filter_map (src true) files @ List.filter_map (src false) ctx in
   (sources, List.rev !findings)
 
-let lint_paths ?context ?workers ?cache_file paths =
+let lint_paths ?context paths =
   let sources, read_findings = read_sources ?context paths in
-  let cache =
-    match cache_file with Some f -> Summary.load f | None -> Summary.empty
-  in
-  let cache', findings, stats = lint_incremental ?workers ~cache sources in
-  (match cache_file with Some f -> Summary.save f cache' | None -> ());
-  (List.sort_uniq Finding.compare (read_findings @ findings), stats)
+  List.sort_uniq Finding.compare (read_findings @ lint_sources sources)

@@ -1,15 +1,12 @@
-(** Driving the lint, incrementally.
+(** Driving the lint.
 
-    Phase 1 summarizes each compilation unit into a self-contained
-    {!Summary.entry} (file-local findings, allow spans, and the per-unit
-    fact slices of every whole-program analysis); parsing is sequential but
-    the analysis collectors fan out over [workers] domains.  Phase 2
-    recomputes the cross-module rules ([domain-race], [impure-kernel],
+    Phase 1 parses every source, assembles the {!Symtab}, then summarizes
+    each compilation unit into its file-local findings, allow spans, and
+    the per-unit fact slices of every whole-program analysis.  Phase 2
+    computes the cross-module rules ([domain-race], [impure-kernel],
     [unused-export], [check-not-threaded], [alloc-in-kernel],
-    [blocking-in-loop]) from the entries alone — never re-reading an AST —
+    [blocking-in-loop]) from those facts alone — never re-reading an AST —
     then audits every [[\@cpla.allow]] in the linted units for staleness.
-    Cold and warm runs share the phase-2 code path, so findings are
-    byte-identical regardless of cache state or scheduling.
 
     Sources with [linted = false] participate in resolution, reference
     counting, flow and reachability analysis but produce no findings (and
@@ -22,21 +19,10 @@ type source = Symtab.source = {
   linted : bool;
 }
 
-val lint_sources : ?workers:int -> source list -> Finding.t list
-(** Run both phases cold over an in-memory project.  Findings are sorted
-    and de-duplicated; whole-program findings honour [[\@cpla.allow]] spans
-    at the reporting site (and, for [domain-race], at the creation site).
-    [workers] (default [1]) parallelises phase-1 summarization. *)
-
-val lint_incremental :
-  ?workers:int ->
-  cache:Summary.t ->
-  source list ->
-  Summary.t * Finding.t list * Summary.stats
-(** Like {!lint_sources} but reusing [cache] entries whose unit digests are
-    unchanged and whose recorded imports are all unchanged too; returns the
-    refreshed cache for the next run and the phase-1 work accounting.
-    Passing {!Summary.empty} is exactly a cold run. *)
+val lint_sources : source list -> Finding.t list
+(** Run both phases over an in-memory project.  Findings are sorted and
+    de-duplicated; whole-program findings honour [[\@cpla.allow]] spans at
+    the reporting site (and, for [domain-race], at the creation site). *)
 
 val lint_string : ?has_mli:bool -> filename:string -> string -> Finding.t list
 (** Lint one implementation given as a string.  [filename] (a
@@ -54,13 +40,6 @@ val read_sources :
     [read-error] finding instead of aborting; unreadable context is
     skipped silently.  Never raises [Sys_error]. *)
 
-val lint_paths :
-  ?context:string list ->
-  ?workers:int ->
-  ?cache_file:string ->
-  string list ->
-  Finding.t list * Summary.stats
-(** {!read_sources} + {!lint_incremental}: lints the given paths, loading
-    the summary cache from [cache_file] before the run and saving the
-    refreshed cache after (no persistence when [cache_file] is omitted).
-    Findings are sorted and de-duplicated and include any [read-error]s. *)
+val lint_paths : ?context:string list -> string list -> Finding.t list
+(** {!read_sources} + {!lint_sources}: lints the given paths.  Findings are
+    sorted and de-duplicated and include any [read-error]s. *)

@@ -24,7 +24,7 @@ let escape s =
     s;
   Buffer.contents b
 
-let json ?stats fmt findings =
+let json fmt findings =
   let findings = normalize findings in
   Format.fprintf fmt "{\"findings\":[";
   List.iteri
@@ -34,13 +34,7 @@ let json ?stats fmt findings =
         (escape f.Finding.file) f.Finding.line f.Finding.col (escape f.Finding.rule)
         (escape f.Finding.message))
     findings;
-  Format.fprintf fmt "],\"count\":%d" (List.length findings);
-  (match stats with
-  | Some (s : Summary.stats) ->
-      Format.fprintf fmt ",\"stats\":{\"files\":%d,\"summarized\":%d,\"reused\":%d}"
-        s.Summary.files s.Summary.summarized s.Summary.reused
-  | None -> ());
-  Format.fprintf fmt "}@."
+  Format.fprintf fmt "],\"count\":%d}@." (List.length findings)
 
 (* GitHub Actions workflow commands: one [::error] annotation per finding.
    Newlines (the capture chains in domain-race messages) must be %-escaped

@@ -9,11 +9,9 @@ val normalize : Finding.t list -> Finding.t list
 val human : Format.formatter -> Finding.t list -> unit
 (** One [file:line: [rule-id] message] line per finding, then a summary. *)
 
-val json : ?stats:Summary.stats -> Format.formatter -> Finding.t list -> unit
+val json : Format.formatter -> Finding.t list -> unit
 (** Machine-readable report:
-    [{"findings": [{"file", "line", "col", "rule", "message"}...], "count": n}];
-    with [stats], a trailing [{"files", "summarized", "reused"}] object
-    exposing the incremental engine's phase-1 work accounting. *)
+    [{"findings": [{"file", "line", "col", "rule", "message"}...], "count": n}]. *)
 
 val github : Format.formatter -> Finding.t list -> unit
 (** GitHub Actions workflow commands ([::error file=..::msg]), one

@@ -19,11 +19,8 @@ type export = {
   exp_suppressed : bool;
 }
 
-(* [unit_info] is the AST-free per-unit metadata.  It is what the
-   incremental cache persists, so everything here must stay marshalable
-   (records, variants, {!Location.t} — no closures, no ASTs).  [uid] is
-   positional and reassigned by {!assemble} on every run; a cached value's
-   stale uid is never trusted. *)
+(* [unit_info] is the AST-free per-unit metadata.  [uid] is positional:
+   {!parse_source} leaves a placeholder and {!assemble} assigns it. *)
 type unit_info = {
   uid : int;
   path : string;
@@ -45,7 +42,6 @@ type unit_info = {
 type t = {
   units : unit_info array;
   by_lib : (string * string, int) Hashtbl.t;
-  by_path : (string, int) Hashtbl.t;
   libs : (string, unit) Hashtbl.t;
 }
 
@@ -337,26 +333,20 @@ let assemble (units : unit_info list) =
   let units = Array.of_list units in
   let units = Array.mapi (fun uid u -> { u with uid }) units in
   let by_lib = Hashtbl.create 64 in
-  let by_path = Hashtbl.create 64 in
   let libs = Hashtbl.create 16 in
   Array.iter
     (fun u ->
-      Hashtbl.replace by_path u.path u.uid;
       match u.lib with
       | Some l ->
           Hashtbl.replace libs l ();
           Hashtbl.replace by_lib (l, u.modname) u.uid
       | None -> ())
     units;
-  { units; by_lib; by_path; libs }
+  { units; by_lib; libs }
 
 let unit t uid = t.units.(uid)
 
 let n_units t = Array.length t.units
-
-let path_of t uid = t.units.(uid).path
-
-let uid_of_path t path = Hashtbl.find_opt t.by_path path
 
 let find_def u path = List.find_opt (fun d -> d.def_path = path) u.defs
 
@@ -366,15 +356,6 @@ type resolved =
   | Sym of int * string list
   | Ext of string list
   | Local of string
-
-(* Path-symbolic cross-unit reference: what the per-file summaries persist
-   instead of positional uids, so a cached summary survives runs. *)
-type sym = { s_unit : string; s_path : string list }
-
-let internalize t { s_unit; s_path } =
-  match uid_of_path t s_unit with
-  | Some uid -> Some (uid, s_path)
-  | None -> None
 
 type env = { opens : string list list; aliases : (string * string list) list }
 

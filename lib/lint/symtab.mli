@@ -2,16 +2,14 @@
 
     Each compilation unit's top-level (and nested-module) value definitions
     with a shared-mutability classification and its [.mli] export list are
-    recorded as AST-free, marshalable {!unit_info} metadata; longidents
-    resolve against the project's module structure — dune-wrapped library
-    names ([Cpla_util.Pool.parallel_map]), same-library siblings
-    ([Elmore.analyze] from [lib/timing]), [open]s and module aliases.
+    recorded as AST-free {!unit_info} metadata; longidents resolve against
+    the project's module structure — dune-wrapped library names
+    ([Cpla_util.Pool.parallel_map]), same-library siblings ([Elmore.analyze]
+    from [lib/timing]), [open]s and module aliases.
 
-    The incremental engine splits construction in two: {!parse_source}
-    produces one unit's metadata plus its AST (cacheable metadata,
-    throwaway AST), and {!assemble} indexes the full ordered unit list —
-    mixing freshly parsed and cache-loaded entries — assigning positional
-    uids. *)
+    Construction comes in two steps: {!parse_source} produces one unit's
+    metadata plus its AST, and {!assemble} indexes the full ordered unit
+    list, assigning positional uids. *)
 
 open Ppxlib
 
@@ -39,7 +37,7 @@ type export = {
 }
 
 type unit_info = {
-  uid : int;  (** positional; reassigned by {!assemble} every run *)
+  uid : int;  (** positional; assigned by {!assemble} *)
   path : string;
   area : Checks.area;
   lib : string option;  (** wrapped library module name, e.g. ["Cpla_util"] *)
@@ -74,10 +72,6 @@ val unit : t -> int -> unit_info
 
 val n_units : t -> int
 
-val path_of : t -> int -> string
-
-val uid_of_path : t -> string -> int option
-
 val find_def : unit_info -> string list -> def option
 
 (** {2 Resolution} *)
@@ -86,15 +80,6 @@ type resolved =
   | Sym of int * string list  (** unit id, value path within that unit *)
   | Ext of string list  (** canonical path of an external (non-project) name *)
   | Local of string  (** shadowed by a local binding of the walker's scope *)
-
-type sym = { s_unit : string; s_path : string list }
-(** Path-symbolic cross-unit reference: the persistable form of
-    [Sym (uid, path)].  Cached summaries store these (unit paths are
-    stable across runs; uids are not) and {!internalize} maps them back
-    once the run's symtab is assembled. *)
-
-val internalize : t -> sym -> (int * string list) option
-(** [None] when the referenced unit no longer exists. *)
 
 type env
 (** Per-position resolution context: the [open]s and module aliases in

@@ -102,8 +102,6 @@ let node_span_of d node =
     if lo = hi then None else Some (lo, hi)
   end
 
-let node_span t ~net ~node = node_span_of t.data.(net) node
-
 let apply_span t d node delta =
   match (node_span_of d node, d.tree) with
   | None, _ | _, None -> ()

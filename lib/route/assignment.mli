@@ -57,12 +57,6 @@ val fully_assigned : t -> bool
 val pin_layers_at : t -> net:int -> node:int -> int list
 (** Layers of the net's pins located at the given tree node's tile. *)
 
-val node_span : t -> net:int -> node:int -> (int * int) option
-  [@@cpla.allow "unused-export"]
-(** Current via span at a node: min/max over incident assigned segment
-    layers and pin layers; [None] when fewer than one layer is present or
-    the span is degenerate at a single layer with no via. *)
-
 val check_usage : t -> (unit, string) result
 (** Recompute all edge and via usage from scratch and compare with the
     graph's incremental accounting; the invariant every mutation must

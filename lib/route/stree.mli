@@ -28,10 +28,6 @@ val node : t -> int -> point
 val children : t -> int array array
 (** [children t].(i) lists the child node indices of node [i]. *)
 
-val edge_length : t -> int -> int
-  [@@cpla.allow "unused-export"]
-(** Grid-edge length of the tree edge from node [i] to its parent.
-    @raise Invalid_argument for the root. *)
 
 val total_wirelength : t -> int
 

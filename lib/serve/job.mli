@@ -50,18 +50,9 @@ val is_ok : terminal -> bool
 val status_string : terminal -> string
 (** ["ok"], ["failed"], ["timed-out"] or ["cancelled"]. *)
 
-val source_label : source -> string
-  [@@cpla.allow "unused-export"]
-
 val same_result : metrics -> metrics -> bool
 (** Field-wise equality ignoring [wall_s] — the determinism contract
     between parallel and sequential execution of the same job. *)
-
-val classify_target : string -> source
-  [@@cpla.allow "unused-export"]
-(** A target containing ['/'] or ending in [".gr"] is a {!File}; anything
-    else is a {!Bench} name.  Existence is checked at run time, so a bad
-    target fails its own job rather than the whole manifest. *)
 
 val parse_manifest : ?default_deadline_s:float -> string -> (spec list, string) result
 (** Parse a manifest: one job per line, [<file-or-bench> [key=value ...]],

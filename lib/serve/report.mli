@@ -1,8 +1,5 @@
 (** Result-line and summary formatting for the serve subcommand. *)
 
-val metrics_string : Job.metrics -> string
-  [@@cpla.allow "unused-export"]
-
 val line : Job.spec -> Job.terminal -> string
 (** One streaming result line, e.g.
     [job 0   adaptec1  ok  wl=... avg=... max=... ov=... edge_ov=... rel=... wall=...s].

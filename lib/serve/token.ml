@@ -34,5 +34,3 @@ let status t =
 let cancelled t = status t <> None
 
 let check t = match status t with Some r -> raise (Cancelled r) | None -> ()
-
-let reason_to_string = function User -> "cancelled" | Deadline -> "deadline exceeded"

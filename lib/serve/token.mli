@@ -36,6 +36,3 @@ val status : t -> reason option
 val check : t -> unit
 (** @raise Cancelled when the token has fired.  This is the closure to
     pass as the driver's [check] hook. *)
-
-val reason_to_string : reason -> string
-  [@@cpla.allow "unused-export"]

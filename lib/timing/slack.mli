@@ -21,10 +21,6 @@ type report = {
   violations : int;      (** nets with negative slack *)
 }
 
-val budget_of_net : Cpla_route.Assignment.t -> budget -> int -> float
-  [@@cpla.allow "unused-export"]
-(** The required arrival time assigned to one net. *)
-
 val analyze : Cpla_route.Assignment.t -> budget -> report
 (** Slack of every net at the current assignment (untreed nets get slack
     against their driver-only delay). *)

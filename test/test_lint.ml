@@ -209,7 +209,7 @@ let test_read_error () =
       output_string oc "let f x = Obj.magic x\n";
       close_out oc;
       Unix.symlink (Filename.concat dir "nowhere.ml") (Filename.concat dir "bad.ml");
-      let findings, _ = Engine.lint_paths ~context:[] [ dir ] in
+      let findings = Engine.lint_paths ~context:[] [ dir ] in
       let rules = List.map (fun (f : Finding.t) -> f.Finding.rule) findings in
       Alcotest.(check bool) "read-error reported" true (List.mem "read-error" rules);
       Alcotest.(check bool) "good file still linted" true (List.mem "obj-magic" rules);
@@ -220,6 +220,46 @@ let test_read_error () =
           Alcotest.(check bool) "finding names the symlink" true
             (contains f.Finding.file "bad.ml")
       | None -> Alcotest.fail "no read-error finding")
+
+(* A partial lint sees the whole project: [lib/core] is linted, [lib/app]
+   is context only.  Core's kernel writes a ref that app defines (a
+   cross-library race), core's [helper] export is referenced only from app,
+   and core carries one stale allow.  The partial run must report exactly
+   what an all-linted run reports for core's files. *)
+let test_partial_lint_sees_context () =
+  let src ?(linted = true) src_path contents = { Engine.src_path; contents; linted } in
+  let project ~app_linted =
+    [
+      src "lib/core/worker.ml"
+        "let run xs =\n\
+        \  Cpla_util.Pool.parallel_map ~workers:2 (fun x -> Cpla_app.Store.hits := x; x) xs\n\
+         let helper x = (x + 1) [@cpla.allow \"wall-clock\"]\n";
+      src "lib/core/worker.mli" "val run : int array -> int array\nval helper : int -> int\n";
+      src ~linted:app_linted "lib/app/store.ml" "let hits = ref 0\n";
+      src ~linted:app_linted "lib/app/store.mli" "val hits : int ref\n";
+      src ~linted:app_linted "lib/app/report.ml"
+        "let show xs = ignore (Cpla_core.Worker.run xs); Cpla_core.Worker.helper 1\n";
+      src ~linted:app_linted "lib/app/report.mli" "val show : int array -> int\n";
+    ]
+  in
+  let render fs = Format.asprintf "%a" Report.json fs in
+  let in_core fs =
+    List.filter (fun (f : Finding.t) -> String.starts_with ~prefix:"lib/core/" f.Finding.file) fs
+  in
+  let partial = Engine.lint_sources (project ~app_linted:false) in
+  let full = Engine.lint_sources (project ~app_linted:true) in
+  Alcotest.(check string) "partial = all-linted restricted to core" (render (in_core full))
+    (render partial);
+  Alcotest.(check (list string)) "rules" [ "domain-race"; "impure-kernel"; "stale-allow" ]
+    (List.sort compare (List.map (fun (f : Finding.t) -> f.Finding.rule) partial));
+  Alcotest.(check bool) "the all-linted run also reports app" true
+    (List.length full > List.length partial);
+  (* without the context library the race goes and both exports look unused *)
+  let alone =
+    Engine.lint_sources (List.filter (fun s -> s.Engine.linted) (project ~app_linted:false))
+  in
+  Alcotest.(check (list string)) "no context" [ "stale-allow"; "unused-export"; "unused-export" ]
+    (List.sort compare (List.map (fun (f : Finding.t) -> f.Finding.rule) alone))
 
 let suite =
   [
@@ -241,4 +281,5 @@ let suite =
     Alcotest.test_case "json report" `Quick test_json_report;
     Alcotest.test_case "human report" `Quick test_human_report;
     Alcotest.test_case "read-error keeps linting" `Quick test_read_error;
+    Alcotest.test_case "partial lint sees the whole project" `Quick test_partial_lint_sees_context;
   ]

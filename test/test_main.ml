@@ -29,5 +29,4 @@ let () =
       ("steiner", Test_steiner.suite);
       ("lint", Test_lint.suite);
       ("lint-semantic", Test_lint_semantic.suite);
-      ("lint-incremental", Test_lint_incremental.suite);
     ]
