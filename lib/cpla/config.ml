@@ -28,14 +28,18 @@ let default =
     warm_start = true;
     workers = 1;
     ilp_options = { Cpla_ilp.Solver.default_options with Cpla_ilp.Solver.time_limit_s = 10.0 };
-    (* tuned: post-mapping plus the local refinement only need a reliable
-       *ranking* from the relaxation, which survives a smaller rank and
-       looser budgets at ~4x the speed of the solver defaults *)
+    (* tuned: post-mapping plus the local refinement only read the
+       per-layer *ranking* of diag(VVᵀ), and the kernel stops once that
+       ranking settles.  Rank 2 keeps rank 6's L-BFGS iteration count
+       (newblue4 117,823 vs 118,104) at ~3x less time per iteration, with
+       the same Max(Tcp) on all 15 suite designs, Avg(Tcp) within 0.3%,
+       and 45% less suite optimise CPU.  Rank 1 costs bigblue3 +1.2%
+       Max(Tcp).  EXPERIMENTS.md, "SDP rank". *)
     sdp_options =
       {
         Cpla_sdp.Solver.default_options with
         Cpla_sdp.Solver.max_outer = 8;
         inner_iters = 100;
-        rank = 6;
+        rank = 2;
       };
   }

@@ -131,15 +131,31 @@ let record_telemetry ~(options : Solver.options) ws =
 let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
   if Array.length f.Formulation.vars = 0 then { frac = [||]; factor = [||] }
   else
+    let ws = match ws with Some w -> w | None -> Kernel.ws_create () in
+    let rank = ref 0 and warm = ref false in
+    (* the final kernel run's convergence, read only when tracing is on *)
+    let result_args _ =
+      let flag b = Cpla_obs.Event.Int (Bool.to_int b) in
+      [
+        ("rank", Cpla_obs.Event.Int !rank);
+        ("outer_rounds", Cpla_obs.Event.Int (Kernel.outer_rounds ws));
+        ("lbfgs_iters", Cpla_obs.Event.Int (Kernel.lbfgs_iters ws));
+        ("warm", flag !warm);
+        ("stalled", flag (stalled ~options ws));
+      ]
+    in
     Cpla_obs.Span.with_ ~name:"sdp/solve"
       ~args:[ ("vars", Cpla_obs.Event.Int (Array.length f.Formulation.vars)) ]
+      ~result_args
       (fun () ->
         Cpla_obs.Metrics.incr "sdp/solves";
         check ();
         let { problem; index; groups } = build_problem f in
         let compiled = Kernel.compile ~groups ~rank:options.Solver.rank problem in
         let dim, r = Kernel.dims compiled in
-        let ws = match ws with Some w -> w | None -> Kernel.ws_create () in
+        rank := r;
+        (* the kernel honours a seed only at this problem's shape *)
+        warm := (match v0 with Some v -> Array.length v = dim * r | None -> false);
         let kopts = Solver.kernel_options options in
         let x_diag = Array.make dim 0.0 in
         let run ?v0 () =
@@ -155,6 +171,7 @@ let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
         (match v0 with
         | Some _ when stalled ~options ws ->
             Cpla_obs.Metrics.incr "sdp/warm-retries";
+            warm := false;
             run ()
         | _ -> ());
         (* the final run is cold whenever it is stalled *)

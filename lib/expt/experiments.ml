@@ -381,11 +381,11 @@ let ablations () =
           Cpla.Config.k_div = 1;
           max_segments_per_partition = 100000;
         } );
-      ( "low-rank SDP (r=2)",
+      ( "rank 6 (1.12 default)",
         {
           Cpla.Config.default with
           Cpla.Config.sdp_options =
-            { Cpla.Config.default.Cpla.Config.sdp_options with Cpla_sdp.Solver.rank = 2 };
+            { Cpla.Config.default.Cpla.Config.sdp_options with Cpla_sdp.Solver.rank = 6 };
         } );
     ]
   in

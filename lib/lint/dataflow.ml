@@ -26,6 +26,7 @@ type race = {
   r_loc : Location.t;
   r_msg : string;
   r_origin : (string * Location.t) option;
+  r_reported : bool;
 }
 
 type binding = Plain | Mut of minfo | Closure of capture list
@@ -55,7 +56,7 @@ type arg_class =
 type event =
   | E_seed of string list * param_id * esc_info
       (** unconditional [add_esc] on (own-unit fn path, param) *)
-  | E_race of race  (** unconditional race, already linted/area/risky-gated *)
+  | E_race of race  (** unconditional race, already area/risky-gated *)
   | E_defcaps of {
       dc_fn : string list;
       dc_target : key;
@@ -71,7 +72,8 @@ type event =
     }  (** argument handed to a possibly-escaping parameter *)
 
 type unit_facts = {
-  df_fire_ok : bool;  (** linted and not under [test/]: may emit races *)
+  df_fire_ok : bool;
+      (** not under [test/]: may produce races, reported only if linted *)
   df_def_caps : (string list * capture list) list;
   df_events : event list;  (** in walk order *)
 }
@@ -264,7 +266,7 @@ let collect_captures symtab ~(u : Symtab.unit_info) ~mpath ~env ~scope ~params l
 let collect symtab (u : Symtab.unit_info) (str : structure) =
   let mut_fields = Symtab.mutable_fields_of str in
   let scope : (string, binding) Hashtbl.t = Hashtbl.create 64 in
-  let fire_ok = u.Symtab.linted && u.Symtab.area <> Checks.Test in
+  let fire_ok = u.Symtab.area <> Checks.Test in
   let events = ref [] in
   let def_caps = ref [] in
   let emit ev = events := ev :: !events in
@@ -279,6 +281,7 @@ let collect symtab (u : Symtab.unit_info) (str : structure) =
                Printf.sprintf "mutable state shared across domains: %s"
                  (String.concat "; then " steps);
              r_origin = Some origin;
+             r_reported = u.Symtab.linted;
            })
   in
   let fire_info ~loc ~written info step =
@@ -599,17 +602,18 @@ let solve symtab (facts : unit_facts array) =
     if not (Hashtbl.mem esc (key, pid)) then Hashtbl.replace esc (key, pid) ei
   in
   let process ~emitting uid (f : unit_facts) =
-    let u_path = (Symtab.unit symtab uid).Symtab.path in
+    let u = Symtab.unit symtab uid in
     let fire ~loc ~origin steps =
       if emitting && f.df_fire_ok then
         races :=
           {
-            r_path = u_path;
+            r_path = u.Symtab.path;
             r_loc = loc;
             r_msg =
               Printf.sprintf "mutable state shared across domains: %s"
                 (String.concat "; then " steps);
             r_origin = Some origin;
+            r_reported = u.Symtab.linted;
           }
           :: !races
     in

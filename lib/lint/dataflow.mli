@@ -35,6 +35,9 @@ type race = {
   r_msg : string;  (** full capture chain, creation site through kernel *)
   r_origin : (string * Location.t) option;
       (** creation site, so [[\@cpla.allow]] works there too *)
+  r_reported : bool;
+      (** raised in a linted unit; a context unit's race is not reported but
+          still consults (and credits) the allows on its sites *)
 }
 
 type unit_facts

@@ -124,6 +124,9 @@ let build_allows symtab (entries : entry array) =
 
 (* ---- whole-program rules --------------------------------------------------- *)
 
+(* A context unit's race is consulted like any other, so that an allow at a
+   linted creation site it reaches earns its usage, and then dropped: a
+   partial lint credits the allows a whole-tree lint would. *)
 let domain_race ~allowed races =
   List.filter_map
     (fun (r : Dataflow.race) ->
@@ -134,7 +137,7 @@ let domain_race ~allowed races =
         | Some (path, loc) -> allowed "domain-race" path loc
         | None -> false
       in
-      if suppressed then None
+      if suppressed || not r.Dataflow.r_reported then None
       else
         Some
           (Finding.v ~file:r.Dataflow.r_path ~loc:r.Dataflow.r_loc ~rule:"domain-race"

@@ -490,7 +490,93 @@ let goldens =
     };
   ]
 
-let test_kernel_golden () =
+(* The same six problems at rank 2, the rank Config.default solves every
+   partition at.  Recorded before the default moved from rank 6 to 2 (the
+   kernel code did not change), so these pin the default's arithmetic
+   against later kernel edits. *)
+let goldens_rank2 =
+  List.map2
+    (fun g (x_diag, objective, max_violation, rounds) ->
+      { g with x_diag; objective; max_violation; rounds })
+    goldens
+    [
+      ( "0x1.72cfe41f5e50fp-8 0x1.fd1a604c09552p-1 \
+           0x1.021ff9d280092p-91 0x1.014514e0c252fp-74 \
+           0x1.da30497e9c951p-79 0x1.ffffffcc9696cp-1 \
+           0x1.2c119f72e9a26p-89 0x1.ffe8dc0b95dd3p-1 \
+           0x1.723f95cce18f8p-13",
+        "0x1.059ade722f7d2p+3",
+        "0x1.9b4b4ap-28",
+        2 );
+      ( "0x1.9b92941898732p-54 0x1.fffffffd7ecdep-1 \
+           0x1.2bb56a31426dfp-51 0x1.066cdea2db3ap-48 \
+           0x1.fffffffaeda48p-1 0x1.3de37a414efe9p-60 \
+           0x1.f58c63e9dbbd3p-63 0x1.3175bbd341cdcp-73 \
+           0x1.7d557e50d5911p-74 0x1.92345e68410f5p-68 \
+           0x1.eb826798ef9eep-58 0x1.000000010891cp+0 \
+           0x1.337207fa171b4p-67 0x1.44260b89781f7p-62 \
+           0x1.fffffff079f03p-1 0x1.69ecf35e83206p-47",
+        "0x1.5edb78444135bp+3",
+        "0x1.f0c146p-30",
+        2 );
+      ( "0x1.9de429e19184bp-106 0x1.22347f8ade8a8p-99 \
+           0x1.fff9fdc303f14p-1 0x1.ffffffffff2c6p-1 \
+           0x1.434fc33c1375ap-98 0x1.98fc344e8d3cap-102 \
+           0x1.ddceee51183f5p-1 0x1.255a9a0bb2803p-159 \
+           0x1.11886d26e6184p-4 0x1.57ce2075e30fdp-9 \
+           0x1.e25c3a6c0e606p-83 0x1.feae365a1c93cp-1 \
+           0x1.ff2e4a5cc8cc2p-1 0x1.a36b45cf1da1p-10 \
+           0x1.0a12e84cfbf3bp-49 0x1.fcfa7d4b7555dp-7 \
+           0x1.f80c160adef68p-1 0x1.8166fe48c8578p-46",
+        "0x1.f91b90157f06fp+1",
+        "0x1.811ea49dbp-15",
+        3 );
+      ( "0x1.74681869faf35p-3 0x1.f11efa0f9bad6p-6 0x1.4b2d0ea8243b6p-1 \
+           0x1.0075f347f45e7p-5 0x1.4e5f235928715p-8 0x1.8e91e3b76990ep-3 \
+           0x1.5b2cf4497ae7fp-2 0x1.2e82b05fdc139p-6 0x1.259177e5b2adfp-4 \
+           0x1.cac5bcf4df6d2p-2",
+        "0x1.23a04b420d697p+3",
+        "0x1.99bec8cb734aep-1",
+        0 );
+      ( "0x1.fff408858b29ep-1 0x1.36d0614813ebap-13 \
+           0x1.7103dfc5ff23ep-13 0x1.e1ee20ebf633ep-1 \
+           0x1.dbfae7265184bp-5 0x1.8b3896176861ap-13 \
+           0x1.3e42b016a06c1p-16 0x1.ad2d00e93e052p-25 \
+           0x1.ffda9a1853709p-1 0x1.ccbda72673c04p-1 0x1.9a38db595bc59p-4 \
+           0x1.93b9007825b92p-31 0x1.a3e5a5ec67633p-21 \
+           0x1.fd524ae3d5e26p-1 0x1.5db1687afc968p-8 0x1.4dd890b773917p-6 \
+           0x1.f5665642ec796p-1 0x1.1a2ea3491dfb6p-12 \
+           0x1.e4777acf92d7ap-19 0x1.fff013b47603ap-1 \
+           0x1.c97bd86716a6cp-22 0x1.ffece14d51167p-1 \
+           0x1.ef094079e362dp-21 0x1.0c822c26662f5p-15",
+        "0x1.a3598eec735d1p+3",
+        "0x1.cbe8c219ea8p-12",
+        8 );
+      ( "0x1.08b333c15da1dp-33 0x1.f5ba900aa8ce1p-1 0x1.4819a5b58476p-6 \
+           0x1.78abaa5d522e5p-16 0x1.3e3485dbd995ap-7 0x1.fa5ae24e2b7cp-1 \
+           0x1.73638014c6e24p-13 0x1.25292acee59b8p-10 \
+           0x1.fff4f7e9bc26ep-1 0x1.3951a7c88b8ap-17 \
+           0x1.f2ee798312febp-26 0x1.3abe6330c4efep-14 \
+           0x1.2f78c53764d65p-9 0x1.180b60af60eddp-23 \
+           0x1.fedcb10ab732p-15 0x1.fec4892640ef1p-1 \
+           0x1.17fed7f0cdc5fp-25 0x1.683165418d6bdp-1 \
+           0x1.9db32613951ecp-15 0x1.2f813828a447p-2 0x1.9c493f0d83b58p-7 \
+           0x1.24bf30a742bb5p-7 0x1.aa14a3c5229b2p-64 \
+           0x1.f501c750bb1cfp-1 0x1.ffe2875784c43p-1 \
+           0x1.322885d4a2c1bp-32 0x1.a8da79f717fecp-14 \
+           0x1.256b85bf6b18ep-13 0x1.352c963ead9e4p-22 \
+           0x1.0cc61b5cee2f8p-12 0x1.301406aae5e0ap-4 \
+           0x1.d9dc15f52744dp-1 0x1.8076bc177fc52p-47 \
+           0x1.f372c02a668e8p-10 0x1.ff09fa492a4b3p-1 \
+           0x1.e5d411eea217ap-28 0x1.f6153ddd95d6cp-1 \
+           0x1.e85d9719be0e9p-24 0x1.3d7876a012976p-6 \
+           0x1.4d981507b52ecp-18",
+        "0x1.5859615677812p+4",
+        "0x1.e1b162529cp-15",
+        7 );
+    ]
+
+let test_kernel_golden ~rank goldens () =
   List.iter
     (fun g ->
       let rng = Cpla_util.Rng.create (20161 + g.g_seed) in
@@ -505,7 +591,7 @@ let test_kernel_golden () =
           seed = 7;
         }
       in
-      let c = Kernel.compile ~rank:6 p in
+      let c = Kernel.compile ~rank p in
       let dim, _ = Kernel.dims c in
       let ws = Kernel.ws_create () in
       let x = Array.make dim 0.0 in
@@ -598,6 +684,9 @@ let suite =
     Alcotest.test_case "lbfgs ws allocation budget" `Quick test_lbfgs_alloc_budget;
     Alcotest.test_case "frame decode allocation budget" `Quick test_frame_alloc_budget;
     Alcotest.test_case "zero_alloc census: static = dynamic" `Quick test_zero_alloc_census;
-    Alcotest.test_case "sdp kernel golden (no groups)" `Quick test_kernel_golden;
+    Alcotest.test_case "sdp kernel golden (no groups)" `Quick
+      (test_kernel_golden ~rank:6 goldens);
     Alcotest.test_case "heap allocation budget" `Quick test_heap_alloc_budget;
+    Alcotest.test_case "sdp kernel golden rank 2 (no groups)" `Quick
+      (test_kernel_golden ~rank:2 goldens_rank2);
   ]

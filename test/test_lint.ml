@@ -261,6 +261,32 @@ let test_partial_lint_sees_context () =
   Alcotest.(check (list string)) "no context" [ "stale-allow"; "unused-export"; "unused-export" ]
     (List.sort compare (List.map (fun (f : Finding.t) -> f.Finding.rule) alone))
 
+(* A creation-site domain-race allow in a linted unit whose only race is
+   captured in a context unit: the whole-tree lint credits it, so the
+   partial lint must not report it as stale. *)
+let test_partial_lint_credits_context_race () =
+  let src ?(linted = true) src_path contents = { Engine.src_path; contents; linted } in
+  let project ~app_linted =
+    [
+      src "lib/core/store.ml" "let[@cpla.allow \"domain-race top-mutable\"] hits = ref 0\n";
+      src "lib/core/store.mli" "val hits : int ref\n";
+      src ~linted:app_linted "lib/app/worker.ml"
+        "let run xs =\n\
+        \  Cpla_util.Pool.parallel_map ~workers:2 (fun x -> Cpla_core.Store.hits := x; x) xs\n";
+      src ~linted:app_linted "lib/app/worker.mli" "val run : int array -> int array\n";
+    ]
+  in
+  let render fs = Format.asprintf "%a" Report.json fs in
+  let in_core fs =
+    List.filter (fun (f : Finding.t) -> String.starts_with ~prefix:"lib/core/" f.Finding.file) fs
+  in
+  let partial = Engine.lint_sources (project ~app_linted:false) in
+  let full = Engine.lint_sources (project ~app_linted:true) in
+  Alcotest.(check (list string)) "no stale-allow" []
+    (List.map (fun (f : Finding.t) -> f.Finding.rule) partial);
+  Alcotest.(check string) "partial = all-linted restricted to core" (render (in_core full))
+    (render partial)
+
 let suite =
   [
     Alcotest.test_case "top-mutable fires" `Quick test_top_mutable_fires;
@@ -282,4 +308,6 @@ let suite =
     Alcotest.test_case "human report" `Quick test_human_report;
     Alcotest.test_case "read-error keeps linting" `Quick test_read_error;
     Alcotest.test_case "partial lint sees the whole project" `Quick test_partial_lint_sees_context;
+    Alcotest.test_case "partial lint credits a context race" `Quick
+      test_partial_lint_credits_context_race;
   ]

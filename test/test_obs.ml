@@ -203,6 +203,50 @@ let test_route_span () =
       Alcotest.(check (option int)) "maze-calls counter" (Some r.Cpla_route.Router.maze_routes)
         (Metrics.counter_value "route/maze-calls"))
 
+(* The SDP span's End event reports the final kernel run's convergence: the
+   resolved rank, its rounds and L-BFGS iterations, whether it ran from the
+   warm seed, and whether it stalled. *)
+let test_sdp_span_convergence () =
+  let module K = Cpla_sdp.Kernel in
+  let options = Cpla.Config.default.Cpla.Config.sdp_options in
+  let f = Test_cpla.random_formulation 4242 in
+  let ws = K.ws_create () in
+  with_obs (fun () ->
+      let solve ?v0 () =
+        let s = Cpla.Sdp_method.solve ~options ~ws ?v0 f in
+        let ends =
+          List.filter
+            (fun (e : Event.t) -> e.name = "sdp/solve" && e.ph = Event.End)
+            (Sink.drain ())
+        in
+        match ends with
+        | [ e ] -> (s, e.args)
+        | _ -> Alcotest.failf "expected one sdp/solve End, got %d" (List.length ends)
+      in
+      let check_run label ~warm args =
+        let viol = K.max_violation ws in
+        let stalled =
+          (not (Float.is_finite viol)) || viol > 100.0 *. options.Cpla_sdp.Solver.feas_tol
+        in
+        List.iter
+          (fun (key, v) ->
+            Alcotest.(check bool) (Printf.sprintf "%s: %s = %d" label key v) true
+              (List.assoc_opt key args = Some (Event.Int v)))
+          [
+            ("rank", options.Cpla_sdp.Solver.rank);
+            ("outer_rounds", K.outer_rounds ws);
+            ("lbfgs_iters", K.lbfgs_iters ws);
+            ("warm", Bool.to_int warm);
+            ("stalled", Bool.to_int stalled);
+          ]
+      in
+      let cold, args = solve () in
+      check_run "cold" ~warm:false args;
+      Alcotest.(check bool) "the kernel ran" true (K.lbfgs_iters ws > 0);
+      (* this seed does not stall, so no cold retry replaces the warm run *)
+      let _, args = solve ~v0:cold.Cpla.Sdp_method.factor () in
+      check_run "warm" ~warm:true args)
+
 (* ---- trace export ----------------------------------------------------------- *)
 
 let mk ?(args = []) name ph ts dom = { Event.name; ph; ts_ns = ts; dom; args }
@@ -263,4 +307,5 @@ let suite =
     Alcotest.test_case "trace json degenerate" `Quick test_trace_json_degenerate;
     Alcotest.test_case "trace roundtrip from spans" `Quick test_trace_roundtrip_from_spans;
     Alcotest.test_case "route span and maze counter" `Quick test_route_span;
+    Alcotest.test_case "sdp span convergence args" `Quick test_sdp_span_convergence;
   ]
