@@ -95,7 +95,9 @@ let micro_tests ~design () =
   let fig7_sdp =
     Test.make ~name:"fig7/sdp-partition-solve"
       (Staged.stage (fun () ->
-           let { Cpla.Sdp_method.problem; groups; _ } = Cpla.Sdp_method.build_problem f in
+           let { Cpla.Sdp_method.problem; groups; _ } =
+             Cpla.Sdp_method.build_problem ~alpha:Cpla.Config.default.Cpla.Config.alpha f
+           in
            Cpla_sdp.Solver.solve ~options:Cpla.Config.default.Cpla.Config.sdp_options ~groups
              problem))
   in
@@ -257,7 +259,9 @@ let run_micro ?design () =
 let batch_tests ~design () =
   let _, _, _, f, _, _ = micro_fixture ~design () in
   let sdp_options = Cpla.Config.default.Cpla.Config.sdp_options in
-  let { Cpla.Sdp_method.problem; groups; _ } = Cpla.Sdp_method.build_problem f in
+  let { Cpla.Sdp_method.problem; groups; _ } =
+    Cpla.Sdp_method.build_problem ~alpha:Cpla.Config.default.Cpla.Config.alpha f
+  in
   let compiled =
     Cpla_sdp.Kernel.compile ~groups ~rank:sdp_options.Cpla_sdp.Solver.rank problem
   in

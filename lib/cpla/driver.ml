@@ -344,10 +344,10 @@ module Incr = struct
     else
       match config.Config.method_ with
       | Config.Sdp -> (
-          let options = config.Config.sdp_options in
+          let options = config.Config.sdp_options and alpha = config.Config.alpha in
           let key =
             match cache with
-            | Some _ -> Some (Solve_cache.key ~options (Formulation.digest f))
+            | Some _ -> Some (Solve_cache.key ~options ~alpha (Formulation.digest f))
             | None -> None
           in
           let hit =
@@ -358,7 +358,7 @@ module Incr = struct
           match hit with
           | Some frac -> (Frac frac, None, None)
           | None ->
-              let sol = Sdp_method.solve ~options ~ws:sdp_ws ?v0 ?check f in
+              let sol = Sdp_method.solve ~options ~alpha ~ws:sdp_ws ?v0 ?check f in
               let store =
                 match (key, v0) with
                 | Some k, None -> Some (k, sol.Sdp_method.frac)

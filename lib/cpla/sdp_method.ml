@@ -2,7 +2,7 @@ open Cpla_sdp
 
 type built = { problem : Problem.t; index : int -> int -> int; groups : int array }
 
-let build_problem (f : Formulation.t) =
+let build_problem ~alpha (f : Formulation.t) =
   let x_base = Array.make (Array.length f.Formulation.vars) 0 in
   let next = ref 0 in
   Array.iteri
@@ -11,7 +11,8 @@ let build_problem (f : Formulation.t) =
       next := !next + Array.length v.Formulation.cands)
     f.Formulation.vars;
   let slack_base = !next in
-  let dim = slack_base + Array.length f.Formulation.cap_rows in
+  let overflow_base = slack_base + Array.length f.Formulation.cap_rows in
+  let dim = overflow_base + Array.length f.Formulation.cap_rows in
   let index vi ci = x_base.(vi) + ci in
   (* Normalise T to unit scale: Elmore costs are in the thousands while the
      augmented-Lagrangian penalty starts at O(10), and an unscaled objective
@@ -60,6 +61,13 @@ let build_problem (f : Formulation.t) =
             row)
         p.Formulation.tv)
     f.Formulation.pairs;
+  (* V_o of (4c): each capacity row's overflow costs α, the ILP's weight,
+     in the normalised units of T. *)
+  Array.iteri
+    (fun ri _ ->
+      let o = overflow_base + ri in
+      cost := { Problem.i = o; j = o; v = alpha /. scale } :: !cost)
+    f.Formulation.cap_rows;
   (* (4b): Σ_j x_ij = 1 per segment. *)
   let constraints = ref [] in
   Array.iteri
@@ -70,12 +78,16 @@ let build_problem (f : Formulation.t) =
       in
       constraints := { Problem.terms; b = 1.0 } :: !constraints)
     f.Formulation.vars;
-  (* (4c) with a PSD slack: Σ x + s = limit. *)
+  (* (4c) with a PSD slack and an overflow: Σ x + s − o = limit.  The
+     overflow keeps a partition whose edges other nets already fill
+     feasible; without it the augmented Lagrangian grinds to its round cap
+     on a problem with no answer. *)
   Array.iteri
     (fun ri (r : Formulation.cap_row) ->
-      let slack = slack_base + ri in
+      let slack = slack_base + ri and o = overflow_base + ri in
       let terms =
         { Problem.i = slack; j = slack; v = 1.0 }
+        :: { Problem.i = o; j = o; v = -1.0 }
         :: List.map
              (fun (vi, ci) -> { Problem.i = index vi ci; j = index vi ci; v = 1.0 })
              r.Formulation.members
@@ -83,10 +95,10 @@ let build_problem (f : Formulation.t) =
       constraints := { Problem.terms; b = float_of_int r.Formulation.limit } :: !constraints)
     f.Formulation.cap_rows;
   (* ranking groups: Post_map ranks a layer's candidates against each
-     other, so each candidate index is grouped by its layer; slacks are
-     never ranked.  The kernel breaks ties by ascending index, which is
-     Post_map's ascending var index: a var's candidates have distinct
-     layers and [x_base] grows with the var. *)
+     other, so each candidate index is grouped by its layer; slacks and
+     overflows are never ranked.  The kernel breaks ties by ascending
+     index, which is Post_map's ascending var index: a var's candidates
+     have distinct layers and [x_base] grows with the var. *)
   let groups = Array.make dim (-1) in
   Array.iteri
     (fun vi (v : Formulation.var) ->
@@ -128,11 +140,20 @@ let record_telemetry ~(options : Solver.options) ws =
     (Float.log10 (Kernel.max_violation ws));
   if Kernel.ranked_exit ws then Metrics.incr "sdp/ranked-exits"
 
-let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
+(* Σ o_r: the overflow rows are the trailing |cap_rows| diagonal entries. *)
+let overflow_total (f : Formulation.t) x_diag =
+  let dim = Array.length x_diag in
+  let acc = ref 0.0 in
+  for i = dim - Array.length f.Formulation.cap_rows to dim - 1 do
+    acc := !acc +. x_diag.(i)
+  done;
+  !acc
+
+let solve ~options ~alpha ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
   if Array.length f.Formulation.vars = 0 then { frac = [||]; factor = [||] }
   else
     let ws = match ws with Some w -> w | None -> Kernel.ws_create () in
-    let rank = ref 0 and warm = ref false in
+    let rank = ref 0 and warm = ref false and overflow = ref 0.0 in
     (* the final kernel run's convergence, read only when tracing is on *)
     let result_args _ =
       let flag b = Cpla_obs.Event.Int (Bool.to_int b) in
@@ -142,6 +163,7 @@ let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
         ("lbfgs_iters", Cpla_obs.Event.Int (Kernel.lbfgs_iters ws));
         ("warm", flag !warm);
         ("stalled", flag (stalled ~options ws));
+        ("overflow", Cpla_obs.Event.Float !overflow);
       ]
     in
     Cpla_obs.Span.with_ ~name:"sdp/solve"
@@ -150,7 +172,7 @@ let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
       (fun () ->
         Cpla_obs.Metrics.incr "sdp/solves";
         check ();
-        let { problem; index; groups } = build_problem f in
+        let { problem; index; groups } = build_problem ~alpha f in
         let compiled = Kernel.compile ~groups ~rank:options.Solver.rank problem in
         let dim, r = Kernel.dims compiled in
         rank := r;
@@ -176,4 +198,6 @@ let solve ~options ?ws ?v0 ?(check = fun () -> ()) (f : Formulation.t) =
         | _ -> ());
         (* the final run is cold whenever it is stalled *)
         if stalled ~options ws then Cpla_obs.Metrics.incr "sdp/stalled";
+        overflow := overflow_total f x_diag;
+        if !overflow >= 0.5 then Cpla_obs.Metrics.incr "sdp/overflowed";
         { frac = fractional_table f index x_diag; factor = Array.sub (Kernel.v ws) 0 (dim * r) })

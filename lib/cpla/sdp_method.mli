@@ -4,22 +4,29 @@
     The moment matrix X carries x_ij on its diagonal and y_ijpq off the
     diagonal; the objective matrix T carries ts(i,j) on the diagonal and
     tv(i,j,p,q) + λ (the via-capacity penalty) off the diagonal.
-    Assignment constraints (4b) stay exact; edge-capacity inequalities (4c)
-    become equalities through PSD slack diagonal entries; via capacity (4d)
-    lives in the objective as λ, exactly as the paper describes. *)
+    Assignment constraints (4b) stay exact.  Edge-capacity inequalities
+    (4c) become equalities Σx + s − o = limit through two PSD diagonal
+    entries per row: a slack s and an overflow o, the paper's V_o, charged
+    α in the objective.  The overflow keeps every partition's relaxation
+    feasible, even one whose edges other nets already fill.  Via capacity
+    (4d) lives in the objective as λ, exactly as the paper describes. *)
 
 type built = {
   problem : Cpla_sdp.Problem.t;
   index : int -> int -> int;
       (** [index vi ci] is the matrix row/column of var [vi]'s candidate
-          [ci]; slack entries occupy the trailing rows *)
+          [ci]; the trailing rows hold one slack per capacity row, then
+          one overflow per capacity row, in [cap_rows] order *)
   groups : int array;
       (** ranking group of each row: the candidate's layer, [-1] for a
-          slack — pass to {!Cpla_sdp.Kernel.compile} to enable the ranked
-          exit *)
+          slack or an overflow — pass to {!Cpla_sdp.Kernel.compile} to
+          enable the ranked exit *)
 }
 
-val build_problem : Formulation.t -> built
+val build_problem : alpha:float -> Formulation.t -> built
+(** [alpha] is the cost of one unit of edge overflow, in the units of the
+    formulation's timing costs (the ILP's V_o weight, [Config.t.alpha]);
+    it is normalised with them. *)
 
 type solution = {
   frac : float array array;
@@ -34,6 +41,7 @@ type solution = {
 
 val solve :
   options:Cpla_sdp.Solver.options ->
+  alpha:float ->
   ?ws:Cpla_sdp.Solver.ws ->
   ?v0:float array ->
   ?check:(unit -> unit) ->
@@ -58,4 +66,7 @@ val solve :
     (log10 of the final max violation; samples above the stall threshold
     land in its overflow), and the counter [sdp/ranked-exits].  Per call,
     [sdp/stalled] counts a final (cold) solve that still ended above the
-    stall threshold. *)
+    stall threshold, and [sdp/overflowed] a final solve whose overflow
+    Σ o is at least 0.5: a partition the capacity rows could not fit.
+    When tracing, the [sdp/solve] span's End event carries that Σ o as
+    [overflow]. *)

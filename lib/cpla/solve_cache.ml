@@ -1,13 +1,14 @@
 (* Content-addressed cache of fractional partition solves.
 
-   Keyed by [Formulation.digest] plus a fingerprint of the SDP options
-   (any field that changes the arithmetic changes the key), valued by the
-   materialised fractional table of [Sdp_method.solve].  The cache stores
-   *cold-start* solves only: a warm-started result depends on the seeding
-   factor and hence on solve history, which would make cache
-   contents order-dependent; restricting entries to cold solves keeps the
-   cache a pure function of (canonical formulation, options) — what makes
-   sharing one cache across daemon jobs sound.
+   Keyed by [Formulation.digest] plus a fingerprint of the SDP options and
+   the overflow weight α (any input that changes the arithmetic changes
+   the key), valued by the materialised fractional table of
+   [Sdp_method.solve].  The cache stores *cold-start* solves only: a
+   warm-started result depends on the seeding factor and hence on solve
+   history, which would make cache contents order-dependent; restricting
+   entries to cold solves keeps the cache a pure function of (canonical
+   formulation, options, α) — what makes sharing one cache across daemon
+   jobs sound.
 
    A single mutex guards the table: entries are looked up once per dirty
    leaf per sweep, so contention is negligible next to a solve.  The table
@@ -39,7 +40,8 @@ let options_fingerprint (o : Cpla_sdp.Solver.options) =
     o.Cpla_sdp.Solver.max_outer o.Cpla_sdp.Solver.inner_iters o.Cpla_sdp.Solver.sigma0
     o.Cpla_sdp.Solver.sigma_growth o.Cpla_sdp.Solver.feas_tol o.Cpla_sdp.Solver.seed
 
-let key ~options digest = digest ^ "|" ^ options_fingerprint options
+let key ~options ~alpha digest =
+  Printf.sprintf "%s|%s,a%.9g" digest (options_fingerprint options) alpha
 
 let find t key =
   Mutex.lock t.mutex;

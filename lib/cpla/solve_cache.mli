@@ -1,6 +1,6 @@
 (** Content-addressed cache of fractional partition solves.
 
-    Maps [Formulation.digest] + SDP-options fingerprint to the
+    Maps [Formulation.digest] + SDP-options and α fingerprint to the
     materialised fractional table of {!Sdp_method.solve}, so repeated or
     near-identical subproblems — typically the same design
     resubmitted to the daemon, or an untouched region re-released across
@@ -19,9 +19,9 @@ val create : ?max_entries:int -> unit -> t
 (** [max_entries] (default 4096) bounds the table; reaching the bound
     clears it wholesale. *)
 
-val key : options:Cpla_sdp.Solver.options -> string -> string
-(** [key ~options digest]: full cache key for a formulation digest solved
-    under [options]. *)
+val key : options:Cpla_sdp.Solver.options -> alpha:float -> string -> string
+(** [key ~options ~alpha digest]: full cache key for a formulation digest
+    solved under [options] with edge-overflow weight [alpha]. *)
 
 val find : t -> string -> float array array option
 (** Lookup by full key, counting a hit or a miss.  The returned table is

@@ -318,8 +318,8 @@ let extended () =
   Table.print t;
   Printf.printf
     "(delay-greedy [9] reaches competitive delay but, with no capacity model\n\
-    \ beyond a per-net feasibility check, it is the only method that *adds*\n\
-    \ wire overflow — the paper's \"illegal solutions\" critique)\n%!"
+    \ beyond a per-net feasibility check, it adds the most wire overflow —\n\
+    \ the paper's \"illegal solutions\" critique)\n%!"
 
 (* ---- steiner topology refinement ---------------------------------------------- *)
 

@@ -154,23 +154,21 @@ let fully_assigned t =
 let check_usage t =
   let g = t.graph in
   let nl = Graph.num_layers g in
-  (* Recompute expected edge usage. *)
-  let expected_edge = Hashtbl.create 1024 in
-  let bump_edge e l =
-    let key = (e.Graph.dir = Tech.Horizontal, e.Graph.x, e.Graph.y, l) in
-    Hashtbl.replace expected_edge key (1 + Option.value ~default:0 (Hashtbl.find_opt expected_edge key))
-  in
-  let expected_via = Hashtbl.create 1024 in
-  let bump_via x y c =
-    let key = (x, y, c) in
-    Hashtbl.replace expected_via key (1 + Option.value ~default:0 (Hashtbl.find_opt expected_via key))
+  (* Recompute the expected usage into a blank graph of the same shape, whose
+     flat per-layer edge and per-crossing via arrays count it without a
+     boxed key per entry.  Every entry goes through the same [Graph] calls
+     as [apply_wires]/[apply_span], so none can fall off the grid. *)
+  let expected =
+    Graph.create ~tech:(tech t) ~width:(Graph.width g) ~height:(Graph.height g)
+      ~layer_capacity:(Array.make nl 0)
   in
   Array.iter
     (fun d ->
       Array.iteri
         (fun i seg ->
           let l = d.layers.(i) in
-          if l >= 0 then Array.iter (fun e -> bump_edge e l) seg.Segment.edges)
+          if l >= 0 then
+            Array.iter (fun e -> Graph.add_usage expected e ~layer:l 1) seg.Segment.edges)
         d.segs;
       match d.tree with
       | None -> ()
@@ -180,8 +178,8 @@ let check_usage t =
             | None -> ()
             | Some (lo, hi) ->
                 let x, y = Stree.node tr node in
-                for c = lo to hi - 1 do
-                  bump_via x y c
+                for crossing = lo to hi - 1 do
+                  Graph.add_via_usage expected ~x ~y ~crossing 1
                 done
           done)
     t.data;
@@ -189,8 +187,7 @@ let check_usage t =
   Graph.iter_edges g (fun e ->
       List.iter
         (fun l ->
-          let key = (e.Graph.dir = Tech.Horizontal, e.Graph.x, e.Graph.y, l) in
-          let want = Option.value ~default:0 (Hashtbl.find_opt expected_edge key) in
+          let want = Graph.usage expected e ~layer:l in
           let got = Graph.usage g e ~layer:l in
           if want <> got && !err = None then
             err :=
@@ -201,7 +198,7 @@ let check_usage t =
   for x = 0 to Graph.width g - 1 do
     for y = 0 to Graph.height g - 1 do
       for c = 0 to nl - 2 do
-        let want = Option.value ~default:0 (Hashtbl.find_opt expected_via (x, y, c)) in
+        let want = Graph.via_usage expected ~x ~y ~crossing:c in
         let got = Graph.via_usage g ~x ~y ~crossing:c in
         if want <> got && !err = None then
           err :=

@@ -256,6 +256,48 @@ let test_congestion_penalty_schedule () =
   Alcotest.(check bool) "overflow dominates" true
     (Init_assign.congestion_penalty ~free:(-1) > 100.0)
 
+(* A corrupted graph is reported at its first mismatch, scanning edges
+   (horizontal then vertical, row-major), each edge's layers ascending,
+   then vias by tile column, row and crossing.  Undoing the corruptions one
+   at a time walks that order. *)
+let test_check_usage_mismatch () =
+  let spec = { Synth.default_spec with Synth.width = 20; height = 20; num_nets = 150; seed = 5 } in
+  let graph, nets = Synth.generate spec in
+  let routed = Router.route_all ~graph nets in
+  let asg = Assignment.create ~graph ~nets ~trees:routed.Router.trees in
+  Init_assign.run asg;
+  let tech = Graph.tech graph in
+  let h = Array.of_list (Tech.layers_of_dir tech Tech.Horizontal) in
+  let v = Array.of_list (Tech.layers_of_dir tech Tech.Vertical) in
+  let h_edge = { Graph.dir = Tech.Horizontal; x = 7; y = 7 } in
+  let v_edge = { Graph.dir = Tech.Vertical; x = 5; y = 2 } in
+  let corrupt delta =
+    [
+      (fun () -> Graph.add_usage graph h_edge ~layer:h.(0) delta);
+      (fun () -> Graph.add_usage graph v_edge ~layer:v.(0) delta);
+      (fun () -> Graph.add_via_usage graph ~x:4 ~y:4 ~crossing:0 delta);
+      (fun () -> Graph.add_via_usage graph ~x:5 ~y:2 ~crossing:0 delta);
+    ]
+  in
+  List.iter (fun f -> f ()) (corrupt 1);
+  let report () =
+    match Assignment.check_usage asg with Ok () -> "ok" | Error msg -> msg
+  in
+  let expected =
+    [
+      "edge (7,7) layer 0: expected usage 3, graph says 4";
+      "edge (5,2) layer 1: expected usage 2, graph says 3";
+      "via (4,4) crossing 0: expected 1, graph says 2";
+      "via (5,2) crossing 0: expected 2, graph says 3";
+    ]
+  in
+  List.iter2
+    (fun want undo ->
+      Alcotest.(check string) "first mismatch" want (report ());
+      undo ())
+    expected (corrupt (-1));
+  Alcotest.(check string) "restored" "ok" (report ())
+
 let suite =
   [
     Alcotest.test_case "create unassigned" `Quick test_create_unassigned;
@@ -271,4 +313,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_tree_dp_vs_brute;
     Alcotest.test_case "init assign full+legal" `Quick test_init_assign_full_and_legal;
     Alcotest.test_case "congestion penalty schedule" `Quick test_congestion_penalty_schedule;
+    Alcotest.test_case "check_usage reports first mismatch" `Quick test_check_usage_mismatch;
   ]

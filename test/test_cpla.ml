@@ -213,7 +213,9 @@ let test_sdp_problem_wellformed () =
   List.iter
     (fun f ->
       if Formulation.var_count f > 0 then begin
-        let { Sdp_method.problem = p; index; groups } = Sdp_method.build_problem f in
+        let { Sdp_method.problem = p; index; groups } =
+          Sdp_method.build_problem ~alpha:Config.default.Config.alpha f
+        in
         Alcotest.(check bool) "dim covers candidates" true
           (p.Cpla_sdp.Problem.dim >= Formulation.candidate_total f);
         Alcotest.(check int) "one group per row" p.Cpla_sdp.Problem.dim (Array.length groups);
@@ -332,7 +334,9 @@ let ranked_exit_property =
     QCheck.(pair (int_range 1 1_000_000) (int_range 0 2))
     (fun (seed, budget) ->
       let f = random_formulation seed in
-      let { Sdp_method.problem; index; groups } = Sdp_method.build_problem f in
+      let { Sdp_method.problem; index; groups } =
+        Sdp_method.build_problem ~alpha:Config.default.Config.alpha f
+      in
       let sdp = Config.default.Config.sdp_options in
       let options =
         {
@@ -386,7 +390,8 @@ let test_sdp_x_values_in_range () =
     (fun f ->
       if Formulation.var_count f > 0 then begin
         let { Sdp_method.frac; _ } =
-          Sdp_method.solve ~options:Cpla_sdp.Solver.default_options f
+          Sdp_method.solve ~options:Cpla_sdp.Solver.default_options
+            ~alpha:Config.default.Config.alpha f
         in
         Array.iteri
           (fun vi (v : Formulation.var) ->
@@ -597,6 +602,122 @@ let test_metrics_measure () =
   Alcotest.(check bool) "vias positive" true (m.Metrics.via_count > 0);
   Alcotest.(check (float 1e-9)) "cpu recorded" 1.5 m.Metrics.cpu_s
 
+(* ---- SDP edge-capacity overflow ---------------------------------------------- *)
+
+(* One var whose every candidate covers an edge-layer with no free track:
+   (4b) asks Σx = 1 while each (4c) row caps its candidate at 0, so only
+   the overflow can make the relaxation feasible. *)
+let overfull_formulation () =
+  let edge = { Cpla_grid.Graph.dir = Cpla_grid.Tech.Horizontal; x = 0; y = 0 } in
+  let var =
+    {
+      Formulation.net = 0;
+      seg = 0;
+      dir = Cpla_grid.Tech.Horizontal;
+      cands = [| 0; 2 |];
+      ts = [| 400.0; 250.0 |];
+      edges = [| edge |];
+    }
+  in
+  let cap_rows =
+    Array.mapi
+      (fun ci layer -> { Formulation.edge; layer; limit = 0; members = [ (0, ci) ] })
+      var.Formulation.cands
+  in
+  { Formulation.vars = [| var |]; pairs = [||]; cap_rows; via_rows = [||] }
+
+(* Σ o of a solve's factor: the overflows are the trailing |cap_rows| rows,
+   o = Σ_c V_{o,c}², summed as the kernel sums diag(VVᵀ). *)
+let overflow_of_factor (f : Formulation.t) factor =
+  let ncap = Array.length f.Formulation.cap_rows in
+  let dim = Formulation.candidate_total f + (2 * ncap) in
+  let r = Array.length factor / dim in
+  let acc = ref 0.0 in
+  for i = dim - ncap to dim - 1 do
+    let o = ref 0.0 in
+    for c = 0 to r - 1 do
+      o := !o +. (factor.((i * r) + c) ** 2.0)
+    done;
+    acc := !acc +. !o
+  done;
+  !acc
+
+(* Without the overflow this solve stalls at a violation of 1/3 after all
+   [max_outer] rounds. *)
+let test_sdp_capacity_overflow () =
+  let options = Config.default.Config.sdp_options in
+  let f = overfull_formulation () in
+  let ws = Cpla_sdp.Kernel.ws_create () in
+  let sol = Sdp_method.solve ~options ~alpha:Config.default.Config.alpha ~ws f in
+  let viol = Cpla_sdp.Kernel.max_violation ws in
+  Alcotest.(check bool)
+    (Printf.sprintf "feasible (violation %g)" viol)
+    true
+    (viol <= 100.0 *. options.Cpla_sdp.Solver.feas_tol);
+  Alcotest.(check bool) "stops before the round cap" true
+    (Cpla_sdp.Kernel.outer_rounds ws < options.Cpla_sdp.Solver.max_outer);
+  let overflow = overflow_of_factor f sol.Sdp_method.factor in
+  Alcotest.(check bool) (Printf.sprintf "overflow carries the segment (Σ o = %g)" overflow) true
+    (overflow >= 0.9)
+
+(* Shape of the relaxation: per capacity row one slack (+1) and one overflow
+   (−1) diagonal, the overflows unranked and costing α in the normalised
+   units of T; dropping the capacity rows drops exactly their entries, and
+   what remains does not depend on α. *)
+let build_problem_shape =
+  let module P = Cpla_sdp.Problem in
+  QCheck.Test.make ~name:"sdp build_problem: slack and overflow per capacity row" ~count:100
+    QCheck.(pair (int_range 1 1_000_000) (float_range 1.0 5000.0))
+    (fun (seed, alpha) ->
+      let f = random_formulation seed in
+      let { Sdp_method.problem = p; groups; _ } = Sdp_method.build_problem ~alpha f in
+      let ncand = Formulation.candidate_total f and ncap = Array.length f.Formulation.cap_rows in
+      (* the normalisation of T: its largest |ts| or |tv + λ| *)
+      let scale =
+        let m = ref 1e-12 in
+        let see x = m := Float.max !m (Float.abs x) in
+        Array.iter
+          (fun (v : Formulation.var) -> Array.iter see v.Formulation.ts)
+          f.Formulation.vars;
+        Array.iter
+          (fun (pr : Formulation.pair) ->
+            Array.iteri
+              (fun ca row ->
+                Array.iteri (fun cb tv -> see (tv +. pr.Formulation.lambda.(ca).(cb))) row)
+              pr.Formulation.tv)
+          f.Formulation.pairs;
+        !m
+      in
+      let is_overflow i = i >= ncand + ncap in
+      let extras (c : P.constr) = List.filter (fun (e : P.entry) -> e.P.i >= ncand) c.P.terms in
+      let cap_constraints = List.filter (fun c -> extras c <> []) p.P.constraints in
+      let slack_and_overflow c =
+        let terms = List.map (fun (e : P.entry) -> (e.P.v, e.P.i, e.P.j)) (extras c) in
+        match List.sort compare terms with
+        | [ (-1.0, o, o'); (1.0, s, s') ] ->
+            o = o' && s = s' && is_overflow o && s = o - ncap && s >= ncand
+        | _ -> false
+      in
+      let overflow_costs = List.filter (fun (e : P.entry) -> is_overflow e.P.i) p.P.cost in
+      let uncapped = { f with Formulation.cap_rows = [||] } in
+      let bare = Sdp_method.build_problem ~alpha uncapped in
+      p.P.dim = ncand + (2 * ncap)
+      && List.length cap_constraints = ncap
+      && List.for_all slack_and_overflow cap_constraints
+      && List.sort compare (List.map (fun (e : P.entry) -> e.P.i) overflow_costs)
+         = List.init ncap (fun ri -> ncand + ncap + ri)
+      && List.for_all
+           (fun (e : P.entry) -> e.P.i = e.P.j && e.P.v = alpha /. scale)
+           overflow_costs
+      && Array.for_all (fun g -> g = -1) (Array.sub groups ncand (2 * ncap))
+      && bare.Sdp_method.problem.P.dim = ncand
+      && bare.Sdp_method.problem.P.cost = List.filter (fun (e : P.entry) -> e.P.j < ncand) p.P.cost
+      && bare.Sdp_method.problem.P.constraints
+         = List.filter (fun c -> extras c = []) p.P.constraints
+      && bare.Sdp_method.groups = Array.sub groups 0 ncand
+      && (Sdp_method.build_problem ~alpha:(2.0 *. alpha) uncapped).Sdp_method.problem
+         = bare.Sdp_method.problem)
+
 let suite =
   [
     Alcotest.test_case "partition covers all" `Quick test_partition_covers_all;
@@ -626,4 +747,6 @@ let suite =
     Alcotest.test_case "driver requires full assignment" `Quick test_driver_requires_full_assignment;
     Alcotest.test_case "driver empty release" `Quick test_driver_empty_release;
     Alcotest.test_case "metrics measure" `Quick test_metrics_measure;
+    Alcotest.test_case "sdp capacity overflow ends the stall" `Quick test_sdp_capacity_overflow;
+    QCheck_alcotest.to_alcotest build_problem_shape;
   ]

@@ -157,17 +157,18 @@ let warm_start_validity_property =
       && warm.Driver.avg_tcp <= (cold.Driver.avg_tcp *. 1.10) +. 1e-9
       && warm.Driver.max_tcp <= (cold.Driver.max_tcp *. 1.15) +. 1e-9)
 
+let cache_fixture () =
+  let asg = build_design ~w:32 ~nets:600 ~seed:11 () in
+  let released = Critical.select asg ~ratio:0.01 in
+  (asg, released)
+
+let cache_config =
+  { Config.default with Config.warm_start = false; workers = 1; max_outer_iters = 2 }
+
 (* Deterministic cache fixture: a repeated identical run must actually hit
    (the property above only proves hits are harmless). *)
 let test_cache_hits_on_repeat () =
-  let mk () =
-    let asg = build_design ~w:32 ~nets:600 ~seed:11 () in
-    let released = Critical.select asg ~ratio:0.01 in
-    (asg, released)
-  in
-  let config =
-    { Config.default with Config.warm_start = false; workers = 1; max_outer_iters = 2 }
-  in
+  let mk = cache_fixture and config = cache_config in
   let cache = Solve_cache.create () in
   let asg_a, rel_a = mk () in
   let _ = Driver.optimize_released ~config ~solve_cache:cache asg_a ~released:rel_a in
@@ -495,6 +496,25 @@ let test_driver_golden () =
   Alcotest.(check string) "cache replay"
     "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11" replay
 
+(* The SDP charges edge overflow α, so α is part of the cache key: a cache
+   filled at α = 2000 serves no solve at α = 1000, although the first
+   sweep poses the same formulations. *)
+let test_cache_keyed_on_alpha () =
+  let options = cache_config.Config.sdp_options in
+  Alcotest.(check bool) "keys differ" true
+    (Solve_cache.key ~options ~alpha:2000.0 "d" <> Solve_cache.key ~options ~alpha:1000.0 "d");
+  let cache = Solve_cache.create () in
+  let asg_a, rel_a = cache_fixture () in
+  let config = { cache_config with Config.alpha = 2000.0 } in
+  let _ = Driver.optimize_released ~config ~solve_cache:cache asg_a ~released:rel_a in
+  let hits = Solve_cache.hits cache and misses = Solve_cache.misses cache in
+  Alcotest.(check bool) "first run stores" true (Solve_cache.length cache > 0);
+  let asg_b, rel_b = cache_fixture () in
+  let config = { cache_config with Config.alpha = 1000.0 } in
+  let _ = Driver.optimize_released ~config ~solve_cache:cache asg_b ~released:rel_b in
+  Alcotest.(check int) "no hit at another alpha" hits (Solve_cache.hits cache);
+  Alcotest.(check bool) "the run looked up" true (Solve_cache.misses cache > misses)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest equivalence_property;
@@ -512,4 +532,5 @@ let suite =
     Alcotest.test_case "digest coefficient-sensitive" `Quick
       test_digest_sensitive_to_coefficients;
     Alcotest.test_case "golden driver digests" `Quick test_driver_golden;
+    Alcotest.test_case "cache keyed on alpha" `Quick test_cache_keyed_on_alpha;
   ]

@@ -205,15 +205,17 @@ let test_route_span () =
 
 (* The SDP span's End event reports the final kernel run's convergence: the
    resolved rank, its rounds and L-BFGS iterations, whether it ran from the
-   warm seed, and whether it stalled. *)
+   warm seed, whether it stalled, and its edge overflow Σ o, which also
+   feeds the [sdp/overflowed] counter. *)
 let test_sdp_span_convergence () =
   let module K = Cpla_sdp.Kernel in
   let options = Cpla.Config.default.Cpla.Config.sdp_options in
+  let alpha = Cpla.Config.default.Cpla.Config.alpha in
   let f = Test_cpla.random_formulation 4242 in
   let ws = K.ws_create () in
   with_obs (fun () ->
-      let solve ?v0 () =
-        let s = Cpla.Sdp_method.solve ~options ~ws ?v0 f in
+      let solve ?v0 f =
+        let s = Cpla.Sdp_method.solve ~options ~alpha ~ws ?v0 f in
         let ends =
           List.filter
             (fun (e : Event.t) -> e.name = "sdp/solve" && e.ph = Event.End)
@@ -223,7 +225,14 @@ let test_sdp_span_convergence () =
         | [ e ] -> (s, e.args)
         | _ -> Alcotest.failf "expected one sdp/solve End, got %d" (List.length ends)
       in
-      let check_run label ~warm args =
+      (* [overflow] is Σ o of the returned factor *)
+      let check_overflow label f (s, args) =
+        let overflow = Test_cpla.overflow_of_factor f s.Cpla.Sdp_method.factor in
+        Alcotest.(check bool) (Printf.sprintf "%s: overflow = %g" label overflow) true
+          (List.assoc_opt "overflow" args = Some (Event.Float overflow));
+        overflow
+      in
+      let check_run label ~warm (s, args) =
         let viol = K.max_violation ws in
         let stalled =
           (not (Float.is_finite viol)) || viol > 100.0 *. options.Cpla_sdp.Solver.feas_tol
@@ -238,14 +247,22 @@ let test_sdp_span_convergence () =
             ("lbfgs_iters", K.lbfgs_iters ws);
             ("warm", Bool.to_int warm);
             ("stalled", Bool.to_int stalled);
-          ]
+          ];
+        check_overflow label f (s, args)
       in
-      let cold, args = solve () in
-      check_run "cold" ~warm:false args;
+      let cold = solve f in
+      let _ = check_run "cold" ~warm:false cold in
       Alcotest.(check bool) "the kernel ran" true (K.lbfgs_iters ws > 0);
       (* this seed does not stall, so no cold retry replaces the warm run *)
-      let _, args = solve ~v0:cold.Cpla.Sdp_method.factor () in
-      check_run "warm" ~warm:true args)
+      let overflow = check_run "warm" ~warm:true (solve ~v0:(fst cold).Cpla.Sdp_method.factor f) in
+      Alcotest.(check bool) "no overflowed solve yet" true
+        (overflow < 0.5 && Metrics.counter_value "sdp/overflowed" = None);
+      (* a segment with no free track overflows its edge *)
+      let overfull = Test_cpla.overfull_formulation () in
+      let overflow = check_overflow "overfull" overfull (solve overfull) in
+      Alcotest.(check bool) "overfull: the segment overflows" true (overflow >= 0.9);
+      Alcotest.(check (option int)) "overflowed counter" (Some 1)
+        (Metrics.counter_value "sdp/overflowed"))
 
 (* ---- trace export ----------------------------------------------------------- *)
 
