@@ -644,7 +644,7 @@ let run_incr_driver () =
   in
   (* warm starts off so cold sweep and dirty re-solve run the same solver
      path: the ratio then measures dirty-set scheduling alone *)
-  let config = { Cpla.Config.default with Cpla.Config.warm_start = false; workers = 1 } in
+  let config = { Cpla.Config.default with Cpla.Config.warm_start = false } in
   let asg, released = build () in
   let initial = layers_of asg in
   (* cold sweep: all leaves dirty, fresh scheduler state each rep *)

@@ -192,11 +192,7 @@ let optimize_cmd =
     let doc = "Refine routing topologies with iterated-1-Steiner points." in
     Arg.(value & flag & info [ "steiner" ] ~doc)
   in
-  let workers_arg =
-    let doc = "Domains solving partitions concurrently (SDP/ILP methods)." in
-    Arg.(value & opt positive_int 1 & info [ "w"; "workers" ] ~docv:"N" ~doc)
-  in
-  let run file bench_name ratio method_ dump steiner workers trace metrics =
+  let run file bench_name ratio method_ dump steiner trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     Result.bind (load ~file ~bench_name) (fun (graph, nets) ->
         let routed = Router.route_all ~steiner ~graph nets in
@@ -229,7 +225,6 @@ let optimize_cmd =
                   Cpla.Config.method_ =
                     (match m with `Sdp -> Cpla.Config.Sdp | `Ilp -> Cpla.Config.Ilp);
                   critical_ratio = ratio;
-                  workers;
                 }
               in
               let _, s =
@@ -252,7 +247,7 @@ let optimize_cmd =
     (exit_ok Term.(
       term_result
         (const run $ file_arg $ bench_arg $ ratio_arg $ method_arg $ dump_arg $ steiner_arg
-       $ workers_arg $ trace_arg $ metrics_arg)))
+       $ trace_arg $ metrics_arg)))
 
 (* ---- serve ----------------------------------------------------------------- *)
 
@@ -265,7 +260,7 @@ let serve_cmd =
           ~doc:
             "Job manifest: one job per line, $(i,<file-or-bench> [key=value ...]), with \
              $(b,#) comments.  Keys: method=sdp|ilp ratio=F priority=N deadline=S \
-             iters=N workers=N name=LABEL.")
+             iters=N name=LABEL.")
   in
   let workers_arg =
     let doc = "Worker domains draining the batch concurrently." in

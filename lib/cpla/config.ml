@@ -10,7 +10,6 @@ type t = {
   local_refinement : bool;
   boundary_coupling : bool;
   warm_start : bool;
-  workers : int;
   ilp_options : Cpla_ilp.Solver.options;
   sdp_options : Cpla_sdp.Solver.options;
 }
@@ -26,7 +25,6 @@ let default =
     local_refinement = true;
     boundary_coupling = true;
     warm_start = true;
-    workers = 1;
     ilp_options = { Cpla_ilp.Solver.default_options with Cpla_ilp.Solver.time_limit_s = 10.0 };
     (* tuned: post-mapping plus the local refinement only read the
        per-layer *ranking* of diag(VVᵀ), and the kernel stops once that

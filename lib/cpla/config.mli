@@ -28,12 +28,6 @@ type t = {
           iterates (not validity); disable and the dirty-leaf sweeps
           commit bitwise the layers of sweeps that re-solve every leaf.
           SDP method only. *)
-  workers : int;
-      (** domains used to solve partitions concurrently (the paper's OpenMP
-          parallelism).  1 = sequential.  Parallel sweeps freeze the
-          coefficients once per iteration instead of per partition, so
-          results can differ slightly from sequential runs (both are valid
-          fixed points of the same outer loop). *)
   ilp_options : Cpla_ilp.Solver.options;
   sdp_options : Cpla_sdp.Solver.options;
 }

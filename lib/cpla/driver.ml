@@ -92,8 +92,8 @@ let local_refine asg (f : Formulation.t) =
     incr rounds
   done
 
-(* One solver-workspace pair per domain, shared by every batch (and by the
-   sequential path) that runs on that domain.  Workspaces grow to the
+(* One solver-workspace pair per domain, shared by every run on that domain
+   (the serve pool runs one job per domain).  Workspaces grow to the
    largest partition they have seen and make the partition solves
    allocation-free in steady state; solver results are independent of
    workspace reuse, so this is invisible to everything downstream. *)
@@ -127,43 +127,6 @@ let argmin_layers (f : Formulation.t) =
       v.Formulation.cands.(!best))
     f.Formulation.vars
 
-(* Bucket subproblem indices by the power-of-two class of their candidate
-   count, keep input order within a bucket, and chunk each bucket into
-   batches of at most [batch_size].  Same-shaped solves then share one
-   per-domain workspace with no intervening growth, and scheduling overhead
-   is paid per batch instead of per cell.  Batching changes scheduling
-   granularity only: the solves and the commit order are those of one cell
-   per task. *)
-let size_class (f : Formulation.t) =
-  let total =
-    Array.fold_left
-      (fun a (v : Formulation.var) -> a + Array.length v.Formulation.cands)
-      0 f.Formulation.vars
-  in
-  let c = ref 0 and t = ref total in
-  while !t > 1 do
-    incr c;
-    t := !t lsr 1
-  done;
-  !c
-
-let batch_size = 8
-
-let size_batches classes =
-  let acc = ref [] in
-  let max_class = Array.fold_left max 0 classes in
-  for cls = 0 to max_class do
-    let idxs = ref [] in
-    Array.iteri (fun i c -> if c = cls then idxs := i :: !idxs) classes;
-    let idxs = Array.of_list (List.rev !idxs) in
-    let n = Array.length idxs in
-    for b = 0 to ((n + batch_size - 1) / batch_size) - 1 do
-      let lo = b * batch_size in
-      acc := (cls, Array.sub idxs lo (min n (lo + batch_size) - lo)) :: !acc
-    done
-  done;
-  Array.of_list (List.rev !acc)
-
 (* ---- incremental sweeps ---------------------------------------------------
 
    The dirty-partition scheduler.  The partition structure is a pure
@@ -188,10 +151,9 @@ let size_batches classes =
    are identical to those of a sweep that re-solves every leaf, partition
    by partition.  The first sweep finds every leaf dirty.
 
-   Warm starts keep each leaf's previous Burer–Monteiro factor (leaf-keyed
-   and read/written only between solves on the orchestrating side, so
-   results are independent of worker count) and seed the next SDP solve
-   from it; a stalled warm solve retries cold inside Sdp_method.
+   Warm starts keep each leaf's previous Burer–Monteiro factor (leaf-keyed,
+   written only between solves) and seed the next SDP solve from it; a
+   stalled warm solve retries cold inside Sdp_method.
 
    The optional solve cache is looked up before every coupled SDP solve
    and fed with cold-start solves only (a warm-started result depends on
@@ -201,23 +163,15 @@ let size_batches classes =
 module Incr = struct
   type sol = Frac of float array array | Lay of int array option
 
-  type memo = {
-    mutable mf : Formulation.t option;
-    mutable msol : sol option;
-    mutable factor : float array option;
-  }
-
   type t = {
     config : Config.t;
     eng : Incremental.t;
     asg : Assignment.t;
-    released : int array;
     leaves : Partition.leaf array;
-    leaf_of : (int * int, int) Hashtbl.t;  (* (net, seg) → leaf index *)
     net_leaves : (int, int list) Hashtbl.t;
     adj : int array array;  (* leaves sharing a grid tile, self excluded *)
     dirty : bool array;
-    memo : memo array;
+    factors : float array option array;  (* leaf-keyed warm-start factors *)
     cache : Solve_cache.t option;
   }
 
@@ -244,13 +198,11 @@ module Incr = struct
                ~max_segments:config.Config.max_segments_per_partition items))
     in
     let n = Array.length leaves in
-    let leaf_of = Hashtbl.create (max 16 (4 * n)) in
     let net_leaves = Hashtbl.create 64 in
     Array.iteri
       (fun li (leaf : Partition.leaf) ->
         List.iter
           (fun it ->
-            Hashtbl.replace leaf_of (it.Partition.net, it.Partition.seg) li;
             let prev =
               Option.value ~default:[] (Hashtbl.find_opt net_leaves it.Partition.net)
             in
@@ -300,26 +252,24 @@ module Incr = struct
       config;
       eng = engine;
       asg;
-      released;
       leaves;
-      leaf_of;
       net_leaves;
       adj;
       dirty = Array.make n true;
-      memo = Array.init n (fun _ -> { mf = None; msol = None; factor = None });
+      factors = Array.make n None;
       cache = solve_cache;
     }
 
-  let mark_changes t ~changed_leaves ~changed_nets =
+  (* [leaf]'s commit moved segments of [changed_nets]: re-dirty every leaf
+     of those nets and [leaf]'s tile neighbours *)
+  let mark_changes t ~leaf ~changed_nets =
     List.iter
       (fun net ->
         List.iter
           (fun li -> t.dirty.(li) <- true)
           (Option.value ~default:[] (Hashtbl.find_opt t.net_leaves net)))
       changed_nets;
-    List.iter
-      (fun li -> Array.iter (fun k -> t.dirty.(k) <- true) t.adj.(li))
-      changed_leaves
+    Array.iter (fun k -> t.dirty.(k) <- true) t.adj.(leaf)
 
   let mark_net_dirty t net =
     match Hashtbl.find_opt t.net_leaves net with
@@ -387,22 +337,9 @@ module Incr = struct
            with uniform fractional values (capacity-driven greedy) *)
         Post_map.run asg ~vars:f.Formulation.vars ~x:(fun _ _ -> 0.5)
 
-  (* Memo updates and cache stores happen on the orchestrating side only:
-     leaf-keyed warm factors keep results independent of the worker count,
-     and deferring stores keeps the cache frozen while a parallel sweep's
-     workers look it up. *)
-  let record_dirty_solve t li f sol factor store =
-    let m = t.memo.(li) in
-    m.mf <- Some f;
-    m.msol <- Some sol;
-    (match factor with Some v -> m.factor <- Some v | None -> ());
-    match (store, t.cache) with
-    | Some (k, frac), Some c -> Solve_cache.store c k frac
-    | _ -> ()
-
-  (* Sequential sweep: dirty leaves are released and re-solved one at a
-     time against the live grid; clean leaves are not touched at all.  Each
-     leaf freezes its nets' coefficients at the current assignment, so
+  (* The sweep (Gauss–Seidel): dirty leaves are released and re-solved one
+     at a time against the live grid; clean leaves are not touched at all.
+     Each leaf freezes its nets' coefficients at the current assignment, so
      later leaves see the effect of earlier ones within the same sweep
      (Section 3.2: "newly updated assignment results of neighboring
      partitions benefit each current partition").  A leaf whose commit
@@ -410,7 +347,7 @@ module Incr = struct
      leaves later in the order are re-solved within this very sweep;
      earlier ones wait for the next sweep, where an every-leaf sweep would
      first see the change too. *)
-  let sweep_sequential ?check t =
+  let sweep ?check t =
     let config = t.config in
     let solved = ref 0 in
     Array.iteri
@@ -438,13 +375,16 @@ module Incr = struct
                 Formulation.build ~boundary_coupling:config.Config.boundary_coupling t.asg
                   ~infos:(Hashtbl.find infos) ~items:leaf.Partition.items
               in
-              let v0 = if config.Config.warm_start then t.memo.(li).factor else None in
+              let v0 = if config.Config.warm_start then t.factors.(li) else None in
               let sdp_ws, ilp_ws = Cpla_util.Pool.Slot.get solver_slot in
               let sol, factor, store =
                 solve_formulation config t.cache ?check ~sdp_ws ~ilp_ws ~v0 f
               in
               commit config t.asg f sol;
-              record_dirty_solve t li f sol factor store);
+              (match factor with Some _ -> t.factors.(li) <- factor | None -> ());
+              match (store, t.cache) with
+              | Some (k, frac), Some c -> Solve_cache.store c k frac
+              | _ -> ());
           incr solved;
           t.dirty.(li) <- false;
           let changed_nets =
@@ -457,125 +397,10 @@ module Incr = struct
               leaf.Partition.items pre
             |> List.filter_map Fun.id |> List.sort_uniq compare
           in
-          if changed_nets <> [] then mark_changes t ~changed_leaves:[ li ] ~changed_nets
+          if changed_nets <> [] then mark_changes t ~leaf:li ~changed_nets
         end)
       t.leaves;
     !solved
-
-  (* Parallel sweep (the paper's OpenMP scheme): freeze coefficients once
-     per sweep for the dirty nets, release *every* leaf (so builds and
-     commits see the same others-only capacity view), build and solve the
-     dirty leaves concurrently on a domain pool (solvers are pure given
-     their formulation), then commit every leaf in deterministic order;
-     clean leaves recommit their memoized (formulation, solution) through
-     the same mapping.  The build-time capacity view in this scheme is the
-     non-released usage only, which never changes across sweeps, so a
-     clean leaf's memoized formulation is bitwise the one a rebuild would
-     produce. *)
-  let sweep_parallel ?check t =
-    let config = t.config in
-    let n = Array.length t.leaves in
-    let dirty_idx = ref [] in
-    for li = n - 1 downto 0 do
-      if t.dirty.(li) then dirty_idx := li :: !dirty_idx
-    done;
-    let dirty_idx = Array.of_list !dirty_idx in
-    let pre = snapshot t.asg t.released in
-    let infos = Hashtbl.create 64 in
-    Array.iter
-      (fun li ->
-        List.iter
-          (fun { Partition.net; _ } ->
-            if not (Hashtbl.mem infos net) then
-              Hashtbl.replace infos net (Incremental.path_info t.eng net))
-          t.leaves.(li).Partition.items)
-      dirty_idx;
-    Array.iter
-      (fun (leaf : Partition.leaf) ->
-        List.iter
-          (fun { Partition.net; seg; _ } -> Assignment.unassign t.asg ~net ~seg)
-          leaf.Partition.items)
-      t.leaves;
-    let formulations =
-      Array.map
-        (fun li ->
-          ( li,
-            Formulation.build ~boundary_coupling:config.Config.boundary_coupling t.asg
-              ~infos:(Hashtbl.find infos) ~items:t.leaves.(li).Partition.items ))
-        dirty_idx
-    in
-    let classes = Array.map (fun (_, f) -> size_class f) formulations in
-    let batches = size_batches classes in
-    let solve_batch (cls, batch) =
-      let sdp_ws, ilp_ws = Cpla_util.Pool.Slot.get solver_slot in
-      Cpla_obs.Metrics.observe ~lo:0.0 ~hi:64.0 ~bins:16 "driver/batch-size"
-        (float_of_int (Array.length batch));
-      Cpla_obs.Span.with_ ~name:"driver/batch"
-        ~args:
-          [
-            ("bucket", Cpla_obs.Event.Int cls);
-            ("partitions", Cpla_obs.Event.Int (Array.length batch));
-          ]
-        (fun () ->
-          Array.map
-            (fun i ->
-              poll_check check;
-              let li, f = formulations.(i) in
-              let v0 = if config.Config.warm_start then t.memo.(li).factor else None in
-              Cpla_obs.Span.with_ ~name:"driver/cell" ~args:(cell_args t.leaves.(li))
-                (fun () -> solve_formulation config t.cache ?check ~sdp_ws ~ilp_ws ~v0 f))
-            batch)
-    in
-    let per_batch =
-      (* the ILP method's branch-and-bound budget is a wall-clock read by
-         design (Config.ilp_options.time_limit_s); SDP batches stay pure *)
-      (Cpla_util.Pool.parallel_map ~workers:config.Config.workers solve_batch batches
-       [@cpla.allow "impure-kernel"])
-    in
-    Array.iteri
-      (fun bi (_, batch) ->
-        Array.iteri
-          (fun k i ->
-            let li, f = formulations.(i) in
-            let sol, factor, store = per_batch.(bi).(k) in
-            record_dirty_solve t li f sol factor store)
-          batch)
-      batches;
-    (* commit every leaf in input order from its (fresh or memoized)
-       solution — the inputs and order an every-leaf sweep commits *)
-    Array.iteri
-      (fun li (_ : Partition.leaf) ->
-        match t.memo.(li) with
-        | { mf = Some f; msol = Some sol; _ } -> commit config t.asg f sol
-        | _ -> invalid_arg "Driver.Incr: clean leaf without a memoized solve")
-      t.leaves;
-    Array.fill t.dirty 0 n false;
-    (* diff committed layers against the sweep-entry snapshot; changes can
-       surface in clean leaves too (their mapping reads live capacity) *)
-    let changed_nets = ref [] and changed_leaves = ref [] in
-    Array.iter
-      (fun (net, layers) ->
-        let net_changed = ref false in
-        Array.iteri
-          (fun seg l0 ->
-            if Assignment.layer t.asg ~net ~seg <> l0 then begin
-              net_changed := true;
-              match Hashtbl.find_opt t.leaf_of (net, seg) with
-              | Some li -> changed_leaves := li :: !changed_leaves
-              | None -> ()
-            end)
-          layers;
-        if !net_changed then changed_nets := net :: !changed_nets)
-      pre;
-    mark_changes t
-      ~changed_leaves:(List.sort_uniq compare !changed_leaves)
-      ~changed_nets:!changed_nets;
-    Array.length dirty_idx
-
-  let sweep ?check t =
-    if dirty_count t = 0 then 0
-    else if t.config.Config.workers > 1 then sweep_parallel ?check t
-    else sweep_sequential ?check t
 end
 
 let optimize_released ?(config = Config.default) ?engine ?solve_cache ?check asg ~released =

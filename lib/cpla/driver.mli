@@ -58,20 +58,18 @@ val optimize_released :
     the solver entirely (see {!Solve_cache}).
 
     [check] is a cooperative-cancellation hook: it is polled at every
-    partition-solve boundary (iteration start, before each leaf solve —
-    including the uncoupled fast path — and inside the parallel sweep's
-    per-partition solver closures) and cancels the run by raising.  The
-    exception propagates to the caller — wrapped in
-    {!Cpla_util.Pool.Worker_failure} when it fired on a pooled domain —
-    after the in-progress iteration's mutations are rolled back to the
-    iteration-entry snapshot, so the assignment is always left fully
-    assigned and internally consistent.  {!Cpla_serve.Token.check} is the
-    intended hook; any closure works. *)
+    partition-solve boundary (iteration start and before each leaf solve,
+    including the uncoupled fast path) and cancels the run by raising.  The
+    exception propagates to the caller unchanged, after the in-progress
+    iteration's mutations are rolled back to the iteration-entry snapshot,
+    so the assignment is always left fully assigned and internally
+    consistent.  {!Cpla_serve.Token.check} is the intended hook; any
+    closure works. *)
 
 (** The dirty-partition scheduler that runs every sweep, exposed for
     benchmarks and equivalence tests.  Holds the (once-built) quadtree,
-    per-leaf dirty flags, leaf-keyed warm-start factors, and memoized
-    formulations/solutions.  The partition structure is a pure function of
+    per-leaf dirty flags and leaf-keyed warm-start factors.  The partition
+    structure is a pure function of
     the released segments' fixed 2-D midpoints, so leaves keep stable
     indices for the lifetime of the state. *)
 module Incr : sig
@@ -101,9 +99,11 @@ module Incr : sig
       ignored. *)
 
   val sweep : ?check:(unit -> unit) -> t -> int
-  (** Run one sweep over the dirty leaves (sequential for
-      [config.workers = 1], released-all batched-parallel otherwise),
-      commit the results, and re-flag leaves affected by what changed.
-      Returns the number of subproblems solved.  Requires the assignment
-      to be fully assigned on entry. *)
+  (** Run one sweep over the dirty leaves in leaf order (Gauss–Seidel):
+      each dirty leaf is released, re-solved against the live grid and
+      committed before the next one builds its subproblem, and a commit
+      that moves layers re-flags its net and tile neighbours, so later
+      leaves re-solve within the same sweep.  Returns the number of
+      subproblems solved.  Requires the assignment to be fully assigned on
+      entry. *)
 end

@@ -54,7 +54,7 @@ let solve ?(options = default_options) ?ws model =
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
-  (* wall clock, as documented for [time_limit_s]: under the partition-level
+  (* wall clock, as documented for [time_limit_s]: with jobs running on a
      domain pool, CPU time advances once per running domain and would shrink
      every concurrent solver's budget by the worker count *)
   let start = Cpla_util.Timer.wall () in

@@ -51,7 +51,7 @@ let same_result a b =
 (* ---- manifest parsing ---------------------------------------------------- *)
 
 (* One job per line:  <file-or-bench> [key=value ...]
-   Keys: method=sdp|ilp  ratio=F  priority=N  deadline=S  iters=N  workers=N
+   Keys: method=sdp|ilp  ratio=F  priority=N  deadline=S  iters=N
    name=LABEL.  '#' starts a comment; blank lines are skipped.  A target
    containing '/' or ending in ".gr" is a file path (checked at run time so
    a missing file fails only its own job); anything else names a built-in
@@ -117,14 +117,10 @@ let parse_line ~lineno ~id ~default_deadline_s line =
                   Result.map
                     (fun n -> config := { !config with Cpla.Config.max_outer_iters = n })
                     (pos_int "iters")
-              | "workers" ->
-                  Result.map
-                    (fun n -> config := { !config with Cpla.Config.workers = n })
-                    (pos_int "workers")
               | "name" ->
                   label := v;
                   Ok ()
-              | _ -> fail "unknown flag %S (known: method ratio priority deadline iters workers name)" key)
+              | _ -> fail "unknown flag %S (known: method ratio priority deadline iters name)" key)
         in
         let rec apply = function
           | [] ->

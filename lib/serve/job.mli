@@ -57,8 +57,8 @@ val same_result : metrics -> metrics -> bool
 val parse_manifest : ?default_deadline_s:float -> string -> (spec list, string) result
 (** Parse a manifest: one job per line, [<file-or-bench> [key=value ...]],
     with [#] comments and blank lines skipped.  Keys: [method=sdp|ilp],
-    [ratio=F], [priority=N], [deadline=S], [iters=N], [workers=N] (the
-    job's own partition-level parallelism), [name=LABEL].  Jobs get ids
+    [ratio=F], [priority=N], [deadline=S], [iters=N], [name=LABEL]; any
+    other key is rejected as an unknown flag.  Jobs get ids
     0, 1, ... in manifest order.  [default_deadline_s] applies to jobs
     without an explicit [deadline=].  The first malformed line fails the
     whole parse (malformed manifests are configuration errors, unlike

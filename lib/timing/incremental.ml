@@ -10,7 +10,7 @@ type entry = {
 type t = {
   asg : Assignment.t;
   entries : entry array;
-  ws : Elmore.workspace; (* sequential-path scratch; workers get their own *)
+  ws : Elmore.workspace; (* reused by every re-analysis *)
 }
 
 let fresh_entry () = { detail_gen = -1; detail = None; pinfo_gen = -1; pinfo = None }
@@ -58,55 +58,15 @@ let path_info t i =
       e.pinfo_gen <- g;
       p
 
-let refresh ?(workers = 1) t =
+let refresh t =
   Cpla_obs.Span.with_ ~name:"timing/refresh" @@ fun () ->
   let n = Array.length t.entries in
   let dirty = ref [] in
   for i = n - 1 downto 0 do
     if is_dirty t i then dirty := i :: !dirty
   done;
-  let dirty = Array.of_list !dirty in
-  let nd = Array.length dirty in
-  Cpla_obs.Metrics.incr ~by:nd "timing/dirty_nets";
-  (* below ~2 nets per worker the domain spawn cost dominates *)
-  if workers <= 1 || nd < 2 * workers then
-    Array.iter (fun i -> ignore (detail t i)) dirty
-  else begin
-    let k = min workers nd in
-    let chunks =
-      Array.init k (fun w ->
-          let lo = w * nd / k and hi = (w + 1) * nd / k in
-          Array.sub dirty lo (hi - lo))
-    in
-    (* Nets are analysed read-only and independently: one workspace per
-       worker, results committed after the join. *)
-    let analyze_chunk chunk =
-      let ws = Elmore.make_workspace () in
-      Array.map
-        (fun i ->
-          let d = Elmore.analyze_with ws t.asg i in
-          let p =
-            if t.entries.(i).pinfo <> None then
-              Some (Critical.path_info_of_detail t.asg i d)
-            else None
-          in
-          (i, d, p))
-        chunk
-    in
-    let results = Cpla_util.Pool.parallel_map ~workers:k analyze_chunk chunks in
-    Array.iter
-      (Array.iter (fun (i, d, p) ->
-           let e = t.entries.(i) in
-           let g = Assignment.generation t.asg i in
-           e.detail <- Some d;
-           e.detail_gen <- g;
-           match p with
-           | Some p ->
-               e.pinfo <- Some p;
-               e.pinfo_gen <- g
-           | None -> ()))
-      results
-  end
+  Cpla_obs.Metrics.incr ~by:(List.length !dirty) "timing/dirty_nets";
+  List.iter (fun i -> ignore (detail t i)) !dirty
 
 (* Same ranking, ordering and tie-breaking as [Critical.select], but net
    delays come from the cache: after an incremental change only the dirty

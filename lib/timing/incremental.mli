@@ -10,14 +10,13 @@
 
     Queries that hit a dirty net re-analyse it against a reusable workspace
     owned by the engine (no per-call scratch allocation).  {!refresh}
-    revalidates every dirty net at once, optionally in parallel over a
-    domain pool with one workspace per worker.
+    revalidates every dirty net at once.
 
-    Thread-safety contract: the engine itself is not thread-safe; queries
-    and [refresh] must come from the owning domain.  During a parallel
-    [refresh] the underlying assignment must not be mutated (workers only
-    read it), matching {!Cpla_util.Pool.parallel_map}'s requirement that
-    work items share no mutable state. *)
+    Thread-safety contract: the engine is not thread-safe.  Queries and
+    [refresh] mutate the cache and the shared workspace, so they must all
+    come from the domain that owns the engine, and the assignment must not
+    be mutated from another domain while they run.  Parallelism lives
+    across jobs, each with its own assignment and engine. *)
 
 type t
 
@@ -49,12 +48,10 @@ val pin_delays : t -> int array -> float array
 val avg_max_tcp : t -> int array -> float * float
 (** Cached {!Critical.avg_max_tcp}; (0, 0) on an empty net set. *)
 
-val refresh : ?workers:int -> t -> unit
-(** Revalidate every dirty net now (details, plus path infos for nets whose
-    path info was previously queried).  [workers > 1] fans the dirty set out
-    over that many domains, one Elmore workspace each; the fan-out is
-    skipped when the dirty set is too small to amortise domain spawns.
-    Requires a fully assigned state. *)
+val refresh : t -> unit
+(** Revalidate every dirty net's Elmore detail now; path infos stay lazy
+    and are rebuilt from the fresh detail on their next query.  Requires a
+    fully assigned state. *)
 
 val is_dirty : t -> int -> bool
 (** Whether the net's cached detail is stale (or was never computed). *)

@@ -1,11 +1,10 @@
 (** Deterministic parallel map over OCaml 5 domains.
 
-    Substitute for the paper's OpenMP partition loop: partitions with
-    similar sizes are independent work items, so a fixed-size domain pool
-    pulling indices from a shared counter balances them well.  Output order
-    is by input index, so results are deterministic regardless of
-    scheduling (provided [f] itself is deterministic and does not share
-    mutable state across items). *)
+    A fixed-size domain pool pulls indices from a shared counter, so
+    independent work items of similar size balance well.  Output order is
+    by input index, so results are deterministic regardless of scheduling
+    (provided [f] itself is deterministic and does not share mutable state
+    across items).  Batch and daemon jobs run on {!Persistent} instead. *)
 
 exception Worker_failure of exn
 (** Wraps the first exception raised by [f] on a pooled domain.  The
@@ -24,10 +23,10 @@ val recommended_workers : unit -> int
 (** Per-domain state slots (domain-local storage).
 
     A slot holds one value per domain, created lazily by the initialiser on
-    first access from that domain.  Batched solver kernels keep their
-    reusable workspaces in slots: each pool worker sees its own workspace
-    across every task it picks up, with no synchronisation — the value
-    never crosses domains. *)
+    first access from that domain.  The driver keeps its reusable solver
+    workspaces in a slot: each pool worker sees its own workspace across
+    every job it picks up, with no synchronisation — the value never
+    crosses domains. *)
 module Slot : sig
   type 'a t
 

@@ -4,11 +4,11 @@ open Cpla
 
 (* Driver-level incrementality must be an optimisation, not a semantics
    change: with warm starts off, the dirty-partition loop commits layers
-   bitwise identical to the from-scratch loop's, for any worker count and
-   with the solve cache on or off.  Warm starts trade that identity for
-   speed within score tolerance.  Plus the canonical-digest contract the
-   solve cache keys on, and the convergence-loop regression fixtures
-   (non-finite scores, discarded-sweep accounting). *)
+   bitwise identical to the from-scratch loop's, with the solve cache on
+   or off.  Warm starts trade that identity for speed within score
+   tolerance.  Plus the canonical-digest contract the solve cache keys on,
+   and the convergence-loop regression fixtures (non-finite scores,
+   discarded-sweep accounting). *)
 
 let build_design ?(w = 24) ?(nets = 300) ?(cap = 8) ~seed () =
   let spec =
@@ -78,14 +78,13 @@ let from_scratch ~config asg ~released =
   loop 0;
   Incremental.avg_max_tcp engine released
 
-(* The core contract: over random designs, release sets (via the seed),
-   sweep budgets, and worker counts, the incremental driver with warm
-   starts off commits exactly the layers the every-leaf-dirty loop
-   commits. *)
+(* The core contract: over random designs, release sets (via the seed)
+   and sweep budgets, the incremental driver with warm starts off commits
+   exactly the layers the every-leaf-dirty loop commits. *)
 let equivalence_property =
   QCheck.Test.make ~name:"driver: incremental ≡ from-scratch layers (warm off)" ~count:5
-    QCheck.(triple (int_range 0 9999) (int_range 1 4) (oneofl [ 1; 2; 3 ]))
-    (fun (seed, iters, workers) ->
+    QCheck.(pair (int_range 0 9999) (int_range 1 4))
+    (fun (seed, iters) ->
       let mk () =
         let asg = build_design ~seed () in
         let released = Critical.select asg ~ratio:0.02 in
@@ -95,7 +94,7 @@ let equivalence_property =
       let asg_b, rel_b = mk () in
       if rel_a <> rel_b then QCheck.Test.fail_report "fixture is non-deterministic";
       let config =
-        { Config.default with Config.warm_start = false; workers; max_outer_iters = iters }
+        { Config.default with Config.warm_start = false; max_outer_iters = iters }
       in
       let avg_a, max_a = from_scratch ~config asg_a ~released:rel_a in
       let rb = Driver.optimize_released ~config asg_b ~released:rel_b in
@@ -109,15 +108,15 @@ let equivalence_property =
    committed layers, whether it is empty or shared with previous runs. *)
 let cache_transparency_property =
   QCheck.Test.make ~name:"driver: solve cache invisible with warm starts off" ~count:4
-    QCheck.(pair (int_range 0 9999) (oneofl [ 1; 2 ]))
-    (fun (seed, workers) ->
+    QCheck.(int_range 0 9999)
+    (fun seed ->
       let mk () =
         let asg = build_design ~seed () in
         let released = Critical.select asg ~ratio:0.02 in
         (asg, released)
       in
       let config =
-        { Config.default with Config.warm_start = false; workers; max_outer_iters = 3 }
+        { Config.default with Config.warm_start = false; max_outer_iters = 3 }
       in
       let asg_a, rel_a = mk () in
       let _ = Driver.optimize_released ~config asg_a ~released:rel_a in
@@ -143,13 +142,13 @@ let warm_start_validity_property =
       let asg_cold, rel_cold = mk () in
       let cold =
         Driver.optimize_released
-          ~config:{ Config.default with Config.warm_start = false; workers = 1 }
+          ~config:{ Config.default with Config.warm_start = false }
           asg_cold ~released:rel_cold
       in
       let asg_warm, rel_warm = mk () in
       let warm =
         Driver.optimize_released
-          ~config:{ Config.default with Config.warm_start = true; workers = 1 }
+          ~config:{ Config.default with Config.warm_start = true }
           asg_warm ~released:rel_warm
       in
       Assignment.fully_assigned asg_warm
@@ -163,7 +162,7 @@ let cache_fixture () =
   (asg, released)
 
 let cache_config =
-  { Config.default with Config.warm_start = false; workers = 1; max_outer_iters = 2 }
+  { Config.default with Config.warm_start = false; max_outer_iters = 2 }
 
 (* Deterministic cache fixture: a repeated identical run must actually hit
    (the property above only proves hits are harmless). *)
@@ -224,7 +223,7 @@ let test_nan_score_restores_and_does_not_count () =
   in
   Alcotest.(check bool) "fixture releases nets" true (Array.length released > 0);
   let before = layers_of asg in
-  let config = { Config.default with Config.workers = 1; max_outer_iters = 3 } in
+  let config = { Config.default with Config.max_outer_iters = 3 } in
   let rep = Driver.optimize_released ~config asg ~released in
   Alcotest.(check int) "stops after the first scored sweep" 1 rep.Driver.iterations;
   Alcotest.(check int) "discarded sweep is not counted" 0 rep.Driver.partitions_solved;
@@ -236,9 +235,7 @@ let test_committed_sweeps_counted () =
   let asg = build_design ~seed:5 () in
   let released = Critical.select asg ~ratio:0.02 in
   let rep =
-    Driver.optimize_released
-      ~config:{ Config.default with Config.workers = 1 }
-      asg ~released
+    Driver.optimize_released asg ~released
   in
   Alcotest.(check bool) "committed work is reported" true (rep.Driver.partitions_solved > 0);
   Alcotest.(check bool) "iterations reported" true (rep.Driver.iterations >= 1)
@@ -249,7 +246,7 @@ let test_incr_converges_and_redirties () =
   let asg = build_design ~seed:8 () in
   let released = Critical.select asg ~ratio:0.02 in
   let engine = Cpla_timing.Incremental.create asg in
-  let config = { Config.default with Config.warm_start = false; workers = 1 } in
+  let config = { Config.default with Config.warm_start = false } in
   let st = Driver.Incr.create ~config ~engine asg ~released in
   Alcotest.(check int) "all leaves start dirty" (Driver.Incr.leaf_count st)
     (Driver.Incr.dirty_count st);
@@ -457,39 +454,29 @@ let driver_digest asg (r : Driver.report) =
     (Digest.to_hex (Digest.string (Buffer.contents b)))
     r.Driver.avg_tcp r.Driver.max_tcp
 
-let golden_run ?solve_cache ~seed ~method_ ~workers () =
+let golden_run ?solve_cache ~seed ~method_ () =
   let asg = build_design ~w:32 ~nets:600 ~seed () in
-  let config =
-    { Config.default with Config.method_; workers; critical_ratio = 0.02 }
-  in
+  let config = { Config.default with Config.method_; critical_ratio = 0.02 } in
   driver_digest asg (Driver.optimize ~config ?solve_cache asg)
 
 let test_driver_golden () =
   List.iter
-    (fun (label, seed, method_, workers, digest) ->
-      Alcotest.(check string) label digest (golden_run ~seed ~method_ ~workers ()))
+    (fun (label, seed, method_, digest) ->
+      Alcotest.(check string) label digest (golden_run ~seed ~method_ ()))
     [
-      ("seed 11 sdp w1", 11, Config.Sdp, 1,
+      ("seed 11 sdp", 11, Config.Sdp,
        "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11");
-      ("seed 11 sdp w2", 11, Config.Sdp, 2,
-       "2a49dbd0fc08de387345c648276d8fbd 0x1.bb32222222223p+10 0x1.609ffffffffffp+11");
-      ("seed 11 ilp w1", 11, Config.Ilp, 1,
+      ("seed 11 ilp", 11, Config.Ilp,
        "53b6b9525accd8cd5682f41567b89753 0x1.bb18444444445p+10 0x1.609ffffffffffp+11");
-      ("seed 11 ilp w2", 11, Config.Ilp, 2,
-       "0d32ff1c297f14c7b65f27ea43a14dca 0x1.bb90ccccccccdp+10 0x1.609ffffffffffp+11");
-      ("seed 23 sdp w1", 23, Config.Sdp, 1,
+      ("seed 23 sdp", 23, Config.Sdp,
        "b5988e5d80f70bb2749bb9def35910e5 0x1.d215555555555p+10 0x1.9290000000001p+11");
-      ("seed 23 sdp w2", 23, Config.Sdp, 2,
-       "ba84c847a2d8456268847fe8e685e3d7 0x1.d142eeeeeeefp+10 0x1.9290000000001p+11");
-      ("seed 23 ilp w1", 23, Config.Ilp, 1,
+      ("seed 23 ilp", 23, Config.Ilp,
        "8885388ada7d22a5467277075f2558aa 0x1.d1e3bbbbbbbbcp+10 0x1.9290000000001p+11");
-      ("seed 23 ilp w2", 23, Config.Ilp, 2,
-       "ce0ab28aad7becad05bf4b8ca16598b7 0x1.d13aeeeeeeefp+10 0x1.9290000000001p+11");
     ];
   (* the second run replays the first run's cold solves from the cache *)
   let cache = Solve_cache.create () in
-  let first = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp ~workers:1 () in
-  let replay = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp ~workers:1 () in
+  let first = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp () in
+  let replay = golden_run ~solve_cache:cache ~seed:11 ~method_:Config.Sdp () in
   Alcotest.(check string) "cache first run"
     "0486a9abc8af0a915c54fda0b3a101f5 0x1.bb09111111111p+10 0x1.609ffffffffffp+11" first;
   Alcotest.(check bool) "replay hits the cache" true (Solve_cache.hits cache > 0);

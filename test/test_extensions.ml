@@ -1,5 +1,5 @@
-(* Tests for the extension modules: the domain pool, slack analysis,
-   solution-format I/O, and the parallel driver path. *)
+(* Tests for the extension modules: the domain pool, slack analysis and
+   solution-format I/O. *)
 
 open Cpla_route
 open Cpla_timing
@@ -187,29 +187,6 @@ let test_solution_unassigned_rejected () =
   Alcotest.(check bool) "raises" true
     (match Solution.write asg with exception Invalid_argument _ -> true | _ -> false)
 
-(* ---- parallel driver ------------------------------------------------------- *)
-
-let test_parallel_driver_valid () =
-  let asg = small_design () in
-  let released = Critical.select asg ~ratio:0.02 in
-  let avg0, _ = Critical.avg_max_tcp asg released in
-  let config = { Cpla.Config.default with Cpla.Config.workers = 3 } in
-  let rep = Cpla.Driver.optimize_released ~config asg ~released in
-  Alcotest.(check bool) "improves" true (rep.Cpla.Driver.avg_tcp <= avg0 +. 1e-9);
-  Alcotest.(check bool) "usage consistent" true (Assignment.check_usage asg = Ok ());
-  Alcotest.(check bool) "fully assigned" true (Assignment.fully_assigned asg)
-
-let test_parallel_driver_deterministic () =
-  let run () =
-    let asg = small_design () in
-    let released = Critical.select asg ~ratio:0.02 in
-    let config = { Cpla.Config.default with Cpla.Config.workers = 3 } in
-    let rep = Cpla.Driver.optimize_released ~config asg ~released in
-    (rep.Cpla.Driver.avg_tcp, rep.Cpla.Driver.max_tcp)
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "same result across runs" true (a = b)
-
 let suite =
   [
     Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
@@ -227,6 +204,4 @@ let suite =
     Alcotest.test_case "solution contains vias" `Quick test_solution_contains_vias;
     Alcotest.test_case "solution parse errors" `Quick test_solution_parse_errors;
     Alcotest.test_case "solution rejects unassigned" `Quick test_solution_unassigned_rejected;
-    Alcotest.test_case "parallel driver valid" `Slow test_parallel_driver_valid;
-    Alcotest.test_case "parallel driver deterministic" `Slow test_parallel_driver_deterministic;
   ]

@@ -38,7 +38,7 @@ let test_manifest_parse () =
     "# comment line\n\
      adaptec1 ratio=0.01 priority=3 name=first\n\
      \n\
-     designs/big.gr method=ilp deadline=2.5 iters=4 workers=2  # trailing comment\n\
+     designs/big.gr method=ilp deadline=2.5 iters=4  # trailing comment\n\
      custom.gr\n"
   in
   match Job.parse_manifest ~default_deadline_s:9.0 text with
@@ -62,7 +62,6 @@ let test_manifest_parse () =
       Alcotest.(check bool) "method=ilp" true (j1.Job.config.Cpla.Config.method_ = Cpla.Config.Ilp);
       Alcotest.(check (option (float 1e-9))) "explicit deadline wins" (Some 2.5) j1.Job.deadline_s;
       Alcotest.(check int) "iters" 4 j1.Job.config.Cpla.Config.max_outer_iters;
-      Alcotest.(check int) "inner workers" 2 j1.Job.config.Cpla.Config.workers;
       match j2.Job.source with
       | Job.File "custom.gr" -> ()
       | _ -> Alcotest.fail ".gr suffix classifies as File"
@@ -154,51 +153,41 @@ let test_driver_check_restores () =
    force every leaf onto that path; the hook must fire more often than the
    once-per-iteration poll the outer loop provides. *)
 let test_driver_check_polls_uncoupled_fast_path () =
-  let run_with ~workers =
-    let spec =
-      {
-        Cpla_route.Synth.default_spec with
-        Cpla_route.Synth.name = "uncoupled";
-        width = 16;
-        height = 16;
-        num_layers = 4;
-        num_nets = 150;
-        capacity = 32;
-        seed = 7;
-        mean_extra_pins = 0.0;
-        blockage_fraction = 0.0;
-      }
-    in
-    let graph, nets = Cpla_route.Synth.generate spec in
-    let routed = Cpla_route.Router.route_all ~graph nets in
-    let asg =
-      Cpla_route.Assignment.create ~graph ~nets ~trees:routed.Cpla_route.Router.trees
-    in
-    Cpla_route.Init_assign.run asg;
-    let engine = Cpla_timing.Incremental.create asg in
-    let released = Cpla_timing.Incremental.select engine ~ratio:0.1 in
-    let config =
-      {
-        Cpla.Config.default with
-        Cpla.Config.workers;
-        max_segments_per_partition = 1;
-        max_outer_iters = 1;
-      }
-    in
-    let polls = Atomic.make 0 in
-    let check () =
-      if Atomic.fetch_and_add polls 1 >= 2 then raise (Token.Cancelled Token.User)
-    in
-    (match Cpla.Driver.optimize_released ~config ~engine ~check asg ~released with
-    | _ -> Alcotest.failf "workers=%d: expected cancellation to escape" workers
-    | exception Token.Cancelled Token.User -> ()
-    | exception Cpla_util.Pool.Worker_failure (Token.Cancelled Token.User) -> ());
-    Alcotest.(check bool) "uncoupled solves polled the hook" true (Atomic.get polls >= 3);
-    Alcotest.(check bool) "state fully assigned after rollback" true
-      (Cpla_route.Assignment.fully_assigned asg)
+  let spec =
+    {
+      Cpla_route.Synth.default_spec with
+      Cpla_route.Synth.name = "uncoupled";
+      width = 16;
+      height = 16;
+      num_layers = 4;
+      num_nets = 150;
+      capacity = 32;
+      seed = 7;
+      mean_extra_pins = 0.0;
+      blockage_fraction = 0.0;
+    }
   in
-  run_with ~workers:1;
-  run_with ~workers:2
+  let graph, nets = Cpla_route.Synth.generate spec in
+  let routed = Cpla_route.Router.route_all ~graph nets in
+  let asg = Cpla_route.Assignment.create ~graph ~nets ~trees:routed.Cpla_route.Router.trees in
+  Cpla_route.Init_assign.run asg;
+  let engine = Cpla_timing.Incremental.create asg in
+  let released = Cpla_timing.Incremental.select engine ~ratio:0.1 in
+  let config =
+    { Cpla.Config.default with Cpla.Config.max_segments_per_partition = 1; max_outer_iters = 1 }
+  in
+  let polls = ref 0 in
+  let check () =
+    incr polls;
+    if !polls > 2 then raise (Token.Cancelled Token.User)
+  in
+  (* the hook's own exception escapes unwrapped *)
+  (match Cpla.Driver.optimize_released ~config ~engine ~check asg ~released with
+  | _ -> Alcotest.fail "expected cancellation to escape"
+  | exception Token.Cancelled Token.User -> ());
+  Alcotest.(check bool) "uncoupled solves polled the hook" true (!polls >= 3);
+  Alcotest.(check bool) "state fully assigned after rollback" true
+    (Cpla_route.Assignment.fully_assigned asg)
 
 (* ---- scheduler properties ------------------------------------------------- *)
 
@@ -420,6 +409,20 @@ let test_report_lines () =
   let s = Report.summary results in
   Alcotest.(check bool) "summary prefixed serve:" true (String.sub s 0 6 = "serve:")
 
+(* Partition solves are sequential, so a job has no inner worker count: a
+   manifest that still asks for one must fail loudly, not run silently
+   with the key ignored. *)
+let test_manifest_rejects_workers () =
+  match Job.parse_manifest "adaptec1 workers=2\n" with
+  | Ok _ -> Alcotest.fail "workers=2 accepted"
+  | Error msg ->
+      let expected = "unknown flag \"workers\"" in
+      let n = String.length expected in
+      let rec mem i =
+        i + n <= String.length msg && (String.sub msg i n = expected || mem (i + 1))
+      in
+      Alcotest.(check bool) (Printf.sprintf "error names the key: %s" msg) true (mem 0)
+
 let suite =
   [
     Alcotest.test_case "manifest: parse fields and classification" `Quick test_manifest_parse;
@@ -444,4 +447,5 @@ let suite =
     Alcotest.test_case "session: deadline measured from arrival, not claim" `Quick
       test_session_deadline_from_arrival;
     Alcotest.test_case "report: line and summary format" `Quick test_report_lines;
+    Alcotest.test_case "manifest: workers key rejected" `Quick test_manifest_rejects_workers;
   ]

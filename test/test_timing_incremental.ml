@@ -157,17 +157,17 @@ let test_dirty_tracking () =
       Assignment.set_layer asg ~net ~seg:0 ~layer:cur;
       check_net_equivalence asg eng net
 
-let test_parallel_refresh_equivalence () =
+let test_refresh_equivalence () =
   let asg = small_design 45 in
   let eng = Incremental.create asg in
   let rng = Cpla_util.Rng.create 19 in
   mutate_randomly rng asg 120;
   Alcotest.(check bool) "many nets dirty" true (Incremental.dirty_count eng > 8);
-  Incremental.refresh ~workers:4 eng;
-  Alcotest.(check int) "clean after parallel refresh" 0 (Incremental.dirty_count eng);
+  Incremental.refresh eng;
+  Alcotest.(check int) "clean after refresh" 0 (Incremental.dirty_count eng);
   check_all_nets asg eng;
   (* refreshing a clean engine is a no-op *)
-  Incremental.refresh ~workers:4 eng;
+  Incremental.refresh eng;
   check_all_nets asg eng
 
 let test_engine_tracks_driver () =
@@ -196,8 +196,7 @@ let suite =
     Alcotest.test_case "select/aggregate equivalence" `Quick
       test_select_and_aggregate_equivalence;
     Alcotest.test_case "dirty tracking" `Quick test_dirty_tracking;
-    Alcotest.test_case "parallel refresh equivalence" `Quick
-      test_parallel_refresh_equivalence;
+    Alcotest.test_case "refresh equivalence" `Quick test_refresh_equivalence;
     Alcotest.test_case "engine tracks the driver" `Quick test_engine_tracks_driver;
     Alcotest.test_case "empty released set" `Quick test_empty_released_driver;
   ]
