@@ -186,9 +186,32 @@ let micro_tests ~design () =
                ignore (Cpla_route.Maze.route ws costs ~sources:[ s ] ~targets))
              queries))
   in
+  (* The two set-up stages every pipeline run pays before selection: the
+     global router over the whole design, from a fresh copy of its generated
+     grid, and the initial layer assignment (Assignment.create +
+     Init_assign.run) of that routing, from a fresh copy again since it
+     installs usage. *)
+  let graph0, nets = Cpla_route.Synth.generate (Cpla_expt.Suite.find design).Cpla_expt.Suite.spec in
+  let route_all =
+    Test.make ~name:"route/route-all"
+      (Staged.stage (fun () ->
+           let graph = Cpla_grid.Graph.clone graph0 in
+           ignore (Cpla_route.Router.route_all ~graph nets)))
+  in
+  let init_assign =
+    let trees = (Cpla_route.Router.route_all ~graph:(Cpla_grid.Graph.clone graph0) nets)
+        .Cpla_route.Router.trees
+    in
+    Test.make ~name:"route/init-assign"
+      (Staged.stage (fun () ->
+           let graph = Cpla_grid.Graph.clone graph0 in
+           Cpla_route.Init_assign.run (Cpla_route.Assignment.create ~graph ~nets ~trees)))
+  in
   Test.make_grouped ~name:"kernels"
     [
       route_maze;
+      route_all;
+      init_assign;
       fig1_elmore;
       fig7_ilp;
       fig7_sdp;
