@@ -19,7 +19,12 @@ val solve :
     polled at the solve boundaries (before model build and before
     branch-and-bound); the solver's own [time_limit_s] bounds the gap
     between polls.  [ws] reuses an LP workspace across partitions (one per
-    domain); results are independent of workspace reuse. *)
+    domain); results are independent of workspace reuse.
+
+    Telemetry: the counter [ilp/no-incumbent] counts solves that return
+    [None].  When tracing, the [ilp/solve] span's End event carries the
+    search's [nodes], [proven_optimal] (1 when no budget cut the search
+    short) and [incumbent] (1 when a solution was found). *)
 
 val build_model : alpha:float -> Formulation.t -> Cpla_ilp.Model.t
 (** The exact 0/1 model (exposed for tests). *)

@@ -8,24 +8,28 @@
 
 type t = {
   objective : float array;
-  rows : (float array * Cpla_numeric.Simplex.relation * float) array;
+  rows : Cpla_numeric.Simplex.row array;
   binary : bool array;  (** same length as [objective] *)
 }
 
 val create :
   objective:float array ->
-  rows:(float array * Cpla_numeric.Simplex.relation * float) list ->
+  rows:Cpla_numeric.Simplex.row list ->
   binary:bool array ->
   t
-(** @raise Invalid_argument on length mismatches. *)
+(** @raise Invalid_argument on a length mismatch or a row column out of
+    range. *)
 
 val num_vars : t -> int
 
 val relaxation : t -> Cpla_numeric.Simplex.problem
-(** LP relaxation: drops integrality and adds [x_i ≤ 1] rows for binaries. *)
+(** LP relaxation: drops integrality and adds one-entry [x_i ≤ 1] rows for
+    binaries, after the model's rows, in variable order. *)
 
 val value : t -> float array -> float
 (** Objective value of a point. *)
 
 val check : ?tol:float -> t -> float array -> bool
-(** Feasibility including integrality. *)
+(** Feasibility including integrality: the relaxation's rows and bounds
+    within [tol] (default 1e-6), and every binary within [tol] of an
+    integer.  Does not build the relaxation. *)

@@ -22,19 +22,19 @@ type ws = Simplex.ws
 
 let ws_create = Simplex.ws_create
 
-let most_fractional model x fixes =
-  let fixed = List.map fst fixes in
+(* [fixed.(i) = node] marks binary i as fixed at the current node. *)
+let most_fractional model x ~fixed ~node =
+  let binary = model.Model.binary in
   let best = ref (-1) and best_frac = ref 0.0 in
-  Array.iteri
-    (fun i b ->
-      if b && not (List.mem i fixed) then begin
-        let f = Float.abs (x.(i) -. Float.round x.(i)) in
-        if f > !best_frac +. 1e-9 then begin
-          best_frac := f;
-          best := i
-        end
-      end)
-    model.Model.binary;
+  for i = 0 to Array.length binary - 1 do
+    if binary.(i) && fixed.(i) <> node then begin
+      let f = Float.abs (x.(i) -. Float.round x.(i)) in
+      if f > !best_frac +. 1e-9 then begin
+        best_frac := f;
+        best := i
+      end
+    end
+  done;
   if !best_frac > 1e-6 then Some !best else None
 
 (* Round every binary to the nearest integer and keep continuous values;
@@ -46,11 +46,14 @@ let rounded_into model x dst =
       dst.(i) <- (if model.Model.binary.(i) then Float.round v else Float.max 0.0 v))
     x
 
-let solve ?(options = default_options) ?ws model =
+type search = { best : outcome option; nodes : int; complete : bool }
+
+let search ?(options = default_options) ?ws model =
   let ws = match ws with Some w -> w | None -> Simplex.ws_create () in
   let n = Model.num_vars model in
   let base = Model.relaxation model in
   let rounded_scratch = Array.make n 0.0 in
+  let fixed = Array.make n 0 in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
   let nodes = ref 0 in
@@ -81,6 +84,7 @@ let solve ?(options = default_options) ?ws model =
     else begin
       let fixes = Stack.pop stack in
       incr nodes;
+      List.iter (fun (i, _) -> fixed.(i) <- !nodes) fixes;
       (* fixing rows go straight into the reused tableau — same rows, same
          order as the dense Array.append construction this replaces *)
       match Simplex.solve ~ws ~fixes base with
@@ -95,7 +99,7 @@ let solve ?(options = default_options) ?ws model =
           else begin
             rounded_into model sol.Simplex.x rounded_scratch;
             offer rounded_scratch;
-            match most_fractional model sol.Simplex.x fixes with
+            match most_fractional model sol.Simplex.x ~fixed ~node:!nodes with
             | None ->
                 (* integral on all binaries *)
                 offer sol.Simplex.x
@@ -110,7 +114,11 @@ let solve ?(options = default_options) ?ws model =
           end
     end
   done;
-  match !incumbent with
-  | None -> None
-  | Some x ->
-      Some { x; objective = !incumbent_obj; proven_optimal = !proven; nodes_explored = !nodes }
+  let best =
+    Option.map
+      (fun x -> { x; objective = !incumbent_obj; proven_optimal = !proven; nodes_explored = !nodes })
+      !incumbent
+  in
+  { best; nodes = !nodes; complete = !proven }
+
+let solve ?options ?ws model = (search ?options ?ws model).best

@@ -27,6 +27,16 @@ type ws = Cpla_numeric.Simplex.ws
 
 val ws_create : unit -> ws
 
+type search = {
+  best : outcome option;  (** what {!solve} returns *)
+  nodes : int;            (** nodes explored, also when no incumbent was found *)
+  complete : bool;        (** no budget cut the search short *)
+}
+
+val search : ?options:options -> ?ws:ws -> Model.t -> search
+(** Run branch-and-bound and report the search as well as its result;
+    [complete] with no [best] proves the model infeasible. *)
+
 val solve : ?options:options -> ?ws:ws -> Model.t -> outcome option
 (** Best integral solution found, or [None] if none exists (or none was
     found within budget on an instance that may still be feasible —

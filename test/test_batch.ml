@@ -53,13 +53,13 @@ let random_lp rng ~n ~m =
           | Simplex.Le -> Cpla_util.Rng.float rng 4.0
           | _ -> -.Cpla_util.Rng.float rng 4.0
         in
-        (coeffs, rel, b))
+        Simplex.dense coeffs rel b)
   in
   let box =
     List.init n (fun i ->
         let row = Array.make n 0.0 in
         row.(i) <- 1.0;
-        (row, Simplex.Le, 1.0 +. Cpla_util.Rng.float rng 3.0))
+        Simplex.dense row Simplex.Le (1.0 +. Cpla_util.Rng.float rng 3.0))
   in
   { Simplex.objective; rows = Array.of_list (coupling @ box) }
 
@@ -75,7 +75,7 @@ let random_ilp rng ~groups ~k =
         for ci = 0 to k - 1 do
           row.((g * k) + ci) <- 1.0
         done;
-        (row, Simplex.Eq, 1.0))
+        Simplex.dense row Simplex.Eq 1.0)
   in
   let binary = Array.make n true in
   Cpla_ilp.Model.create ~objective ~rows ~binary
@@ -157,7 +157,7 @@ let test_simplex_fixes () =
                   (fun (i, v) ->
                     let row = Array.make n 0.0 in
                     row.(i) <- 1.0;
-                    (row, Simplex.Eq, v))
+                    Simplex.dense row Simplex.Eq v)
                   fixes));
       }
     in
@@ -698,6 +698,79 @@ let test_route_all_alloc_budget () =
     (Printf.sprintf "route_all allocates %.2fM minor words (budget 6.63M)" (words /. 1e6))
     true (words < 6.63e6)
 
+(* The fig7 ILP kernel's partition: adaptec1's most coupled leaf at the
+   bench micro section's settings (0.5% released, k = 4, at most 10
+   segments per leaf), formulated with its segments unassigned. *)
+let fig7_formulation () =
+  let prep = Cpla_expt.Suite.prepare (Cpla_expt.Suite.find "adaptec1") in
+  let released = Cpla_expt.Experiments.released_at prep ~ratio:0.005 in
+  let asg = prep.Cpla_expt.Suite.asg in
+  let infos = Hashtbl.create 32 in
+  Array.iter
+    (fun net -> Hashtbl.replace infos net (Cpla_timing.Critical.path_info asg net))
+    released;
+  let items =
+    Array.to_list released
+    |> List.concat_map (fun net ->
+           Array.to_list
+             (Array.mapi
+                (fun seg s -> { Cpla.Partition.net; seg; mid = Cpla_route.Segment.midpoint s })
+                (Cpla_route.Assignment.segments asg net)))
+  in
+  let graph = Cpla_route.Assignment.graph asg in
+  let leaves =
+    Cpla.Partition.build ~width:(Cpla_grid.Graph.width graph)
+      ~height:(Cpla_grid.Graph.height graph) ~k:4 ~max_segments:10 items
+  in
+  let size leaf = List.length leaf.Cpla.Partition.items in
+  let leaf =
+    List.fold_left (fun b leaf -> if size leaf > size b then leaf else b) (List.hd leaves) leaves
+  in
+  List.iter
+    (fun it ->
+      Cpla_route.Assignment.unassign asg ~net:it.Cpla.Partition.net ~seg:it.Cpla.Partition.seg)
+    leaf.Cpla.Partition.items;
+  Cpla.Formulation.build asg ~infos:(Hashtbl.find infos) ~items:leaf.Cpla.Partition.items
+
+(* Minor words of the fig7 ILP kernel: build the partition's 0/1 model and
+   branch-and-bound it on a fresh workspace.  The partition is infeasible
+   under the ILP's hard (4c) capacity rows, so the kernel is one LP solve;
+   the same partition with room for every member on every edge branches
+   through 17 nodes and offers incumbents.  Before the simplex went sparse
+   (dense model rows, and a dense relaxation rebuilt by every incumbent
+   check) the two took 20.1 k and 622 k words per run; the budgets are
+   1.25x the 14.2 k and 50.5 k measured after. *)
+let test_ilp_alloc_budget () =
+  let f = fig7_formulation () in
+  let roomy =
+    {
+      f with
+      Cpla.Formulation.cap_rows =
+        Array.map
+          (fun (r : Cpla.Formulation.cap_row) ->
+            { r with Cpla.Formulation.limit = List.length r.Cpla.Formulation.members })
+          f.Cpla.Formulation.cap_rows;
+    }
+  in
+  let options = { Cpla_ilp.Solver.default_options with Cpla_ilp.Solver.time_limit_s = 5.0 } in
+  let measure name f ~nodes ~incumbent ~budget =
+    let run () = Cpla_ilp.Solver.search ~options (Cpla.Ilp_method.build_model ~alpha:2000.0 f) in
+    let s = run () in
+    Alcotest.(check int) (name ^ ": nodes") nodes s.Cpla_ilp.Solver.nodes;
+    Alcotest.(check bool) (name ^ ": incumbent") incumbent (s.Cpla_ilp.Solver.best <> None);
+    let runs = 10 in
+    let before = Gc.minor_words () in
+    for _ = 1 to runs do
+      ignore (run ())
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int runs in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: ilp solve allocates %.0f minor words (budget %.0f)" name words budget)
+      true (words < budget)
+  in
+  measure "fig7" f ~nodes:1 ~incumbent:false ~budget:17.7e3;
+  measure "fig7 with room" roomy ~nodes:17 ~incumbent:true ~budget:63.1e3
+
 let suite =
   [
     Alcotest.test_case "sdp: ws reuse bitwise across buckets" `Quick test_sdp_ws_reuse;
@@ -716,4 +789,5 @@ let suite =
     Alcotest.test_case "sdp kernel golden rank 2 (no groups)" `Quick
       (test_kernel_golden ~rank:2 goldens_rank2);
     Alcotest.test_case "route_all allocation budget" `Quick test_route_all_alloc_budget;
+    Alcotest.test_case "ilp solve allocation budget" `Quick test_ilp_alloc_budget;
   ]

@@ -1,7 +1,10 @@
 open Cpla_numeric
 open Cpla_ilp
 
-let mk objective rows binary = Model.create ~objective ~rows ~binary
+let mk objective rows binary =
+  Model.create ~objective
+    ~rows:(List.map (fun (coeffs, rel, b) -> Simplex.dense coeffs rel b) rows)
+    ~binary
 
 let test_knapsack () =
   (* max 5a+4b+3c s.t. 2a+3b+c <= 5, binary => a=1,c=1 (b=1 too? 2+3+1=6>5;
@@ -109,6 +112,53 @@ let test_vs_brute_force =
       | Some o, Some (obj, _) -> Float.abs (o.Solver.objective -. obj) < 1e-6
       | Some _, None | None, Some _ -> false)
 
+(* Random small 0/1 model: mostly negative costs against ≤ rows with
+   coefficients up to 3, so the LP optimum is often fractional and the
+   search branches; a third of the draws make the last variable
+   continuous.  Rows are dense, in the reference's form. *)
+let small_int_model rng =
+  let module R = Cpla_util.Rng in
+  let n = R.int_in rng 2 7 in
+  let objective = Array.init n (fun _ -> float_of_int (R.int_in rng (-3) 1)) in
+  let rows =
+    List.init (R.int_in rng 1 4) (fun _ ->
+        let coeffs =
+          Array.init n (fun _ ->
+              if R.int rng 3 = 0 then 0.0 else float_of_int (R.int_in rng (-1) 3))
+        in
+        let rel =
+          R.choose rng
+            [| Simplex_reference.Le; Simplex_reference.Le; Simplex_reference.Ge; Simplex_reference.Eq |]
+        in
+        (coeffs, rel, float_of_int (R.int_in rng 0 5)))
+  in
+  let binary = Array.init n (fun i -> i < n - 1 || R.int rng 3 > 0) in
+  (objective, rows, binary)
+
+(* Branch-and-bound over the sparse simplex explores the same tree as the
+   dense reference and returns the same incumbent, bit for bit. *)
+let test_matches_dense_reference =
+  QCheck.Test.make ~name:"branch and bound matches the dense reference bitwise" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Cpla_util.Rng.create seed in
+      let objective, rows, binary = small_int_model rng in
+      let want =
+        Simplex_reference.Bnb.solve (Simplex_reference.Model.create ~objective ~rows ~binary)
+      in
+      let got =
+        Solver.solve
+          (Model.create ~objective ~rows:(Test_numeric_props.sparse_rows rows) ~binary)
+      in
+      match (want, got) with
+      | None, None -> true
+      | Some a, Some b ->
+          Array.for_all2 Test_numeric_props.same_bits a.Simplex_reference.Bnb.x b.Solver.x
+          && Test_numeric_props.same_bits a.Simplex_reference.Bnb.objective b.Solver.objective
+          && a.Simplex_reference.Bnb.nodes_explored = b.Solver.nodes_explored
+          && a.Simplex_reference.Bnb.proven_optimal = b.Solver.proven_optimal
+      | Some _, None | None, Some _ -> false)
+
 let suite =
   [
     Alcotest.test_case "knapsack" `Quick test_knapsack;
@@ -117,4 +167,5 @@ let suite =
     Alcotest.test_case "mixed continuous" `Quick test_mixed_continuous;
     Alcotest.test_case "relaxation is a lower bound" `Quick test_relaxation_bound;
     QCheck_alcotest.to_alcotest test_vs_brute_force;
+    QCheck_alcotest.to_alcotest test_matches_dense_reference;
   ]

@@ -182,7 +182,11 @@ let test_lbfgs_rosenbrock () =
 
 (* ---- Simplex --------------------------------------------------------------- *)
 
-let lp objective rows = { Simplex.objective; rows = Array.of_list rows }
+let lp objective rows =
+  {
+    Simplex.objective;
+    rows = Array.of_list (List.map (fun (coeffs, rel, b) -> Simplex.dense coeffs rel b) rows);
+  }
 
 let test_simplex_basic () =
   (* max x+y s.t. x+2y<=4, 3x+y<=6  => min -(x+y); optimum at (1.6,1.2) = 2.8 *)

@@ -125,14 +125,14 @@ let simplex_constraint_monotonicity =
           Simplex.objective = [| c0; c1 |];
           rows =
             [|
-              ([| 1.0; 1.0 |], Simplex.Le, b0);
-              ([| 1.0; 0.0 |], Simplex.Le, b0);
-              ([| 0.0; 1.0 |], Simplex.Le, b0);
+              Simplex.dense [| 1.0; 1.0 |] Simplex.Le b0;
+              Simplex.dense [| 1.0; 0.0 |] Simplex.Le b0;
+              Simplex.dense [| 0.0; 1.0 |] Simplex.Le b0;
             |];
         }
       in
       let tightened =
-        { base with Simplex.rows = Array.append base.Simplex.rows [| ([| 1.0; 1.0 |], Simplex.Le, Float.min b0 extra) |] }
+        { base with Simplex.rows = Array.append base.Simplex.rows [| Simplex.dense [| 1.0; 1.0 |] Simplex.Le (Float.min b0 extra) |] }
       in
       match (Simplex.solve base, Simplex.solve tightened) with
       | Simplex.Optimal a, Simplex.Optimal b ->
@@ -150,9 +150,9 @@ let simplex_objective_scaling =
           Simplex.objective = [| scale *. c0; scale *. c1 |];
           rows =
             [|
-              ([| 1.0; 1.0 |], Simplex.Le, 3.0);
-              ([| 1.0; 0.0 |], Simplex.Le, 2.0);
-              ([| 0.0; 1.0 |], Simplex.Le, 2.0);
+              Simplex.dense [| 1.0; 1.0 |] Simplex.Le 3.0;
+              Simplex.dense [| 1.0; 0.0 |] Simplex.Le 2.0;
+              Simplex.dense [| 0.0; 1.0 |] Simplex.Le 2.0;
             |];
         }
       in
@@ -191,6 +191,97 @@ let sdp_objective_scaling =
       r1.Cpla_sdp.Solver.x_diag.(0) > r1.Cpla_sdp.Solver.x_diag.(1)
       && rk.Cpla_sdp.Solver.x_diag.(0) > rk.Cpla_sdp.Solver.x_diag.(1))
 
+(* Random LP with small-integer data: coefficients in -2..2, half of them
+   zero, and small rhs, so degenerate vertices and ratio-test ties are
+   common; half the draws add box rows so that many are bounded.  Rows are
+   dense, in the reference simplex's form.  With [~negative_le:false] no ≤
+   row has a negative rhs: the reference gives such a row no artificial
+   column (see [simplex_ws_history_free]). *)
+let small_int_lp ?(negative_le = false) rng =
+  let module R = Cpla_util.Rng in
+  let n = R.int_in rng 1 6 and m = R.int_in rng 1 6 in
+  let coef () = if R.bool rng then 0.0 else float_of_int (R.int_in rng (-2) 2) in
+  let objective = Array.init n (fun _ -> coef ()) in
+  let rows =
+    List.init m (fun _ ->
+        let rel = R.choose rng [| Simplex_reference.Le; Simplex_reference.Ge; Simplex_reference.Eq |] in
+        let lo = if rel = Simplex_reference.Le && not negative_le then 0 else -2 in
+        (Array.init n (fun _ -> coef ()), rel, float_of_int (R.int_in rng lo 4)))
+  in
+  let box =
+    if R.bool rng then
+      List.init n (fun i ->
+          (Array.init n (fun j -> if i = j then 1.0 else 0.0), Simplex_reference.Le,
+           float_of_int (R.int_in rng 1 3)))
+    else []
+  in
+  (objective, rows @ box)
+
+let to_relation = function
+  | Simplex_reference.Le -> Simplex.Le
+  | Simplex_reference.Ge -> Simplex.Ge
+  | Simplex_reference.Eq -> Simplex.Eq
+
+let sparse_rows rows = List.map (fun (c, rel, b) -> Simplex.dense c (to_relation rel) b) rows
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* One workspace for every case, so the property also covers clearing
+   the previous solve's supports. *)
+let simplex_oracle_ws = Simplex.ws_create ()
+
+(* The sparse simplex is the dense one bit for bit: same status, and at an
+   optimum the same x and objective bits and the same pivot count. *)
+let simplex_matches_dense_reference =
+  QCheck.Test.make ~name:"sparse simplex matches the dense reference bitwise" ~count:1000
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Cpla_util.Rng.create seed in
+      let objective, rows = small_int_lp rng in
+      let n = Array.length objective in
+      let fixes =
+        List.init (Cpla_util.Rng.int rng 3) (fun _ ->
+            (Cpla_util.Rng.int rng n, float_of_int (Cpla_util.Rng.int rng 3)))
+      in
+      let want = Simplex_reference.solve ~fixes { Simplex_reference.objective; rows = Array.of_list rows } in
+      let got =
+        Simplex.solve ~ws:simplex_oracle_ws ~fixes
+          { Simplex.objective; rows = Array.of_list (sparse_rows rows) }
+      in
+      match (want, got) with
+      | Simplex_reference.Optimal a, Simplex.Optimal b ->
+          Array.length a.Simplex_reference.x = Array.length b.Simplex.x
+          && Array.for_all2 same_bits a.Simplex_reference.x b.Simplex.x
+          && same_bits a.Simplex_reference.objective b.Simplex.objective
+          && a.Simplex_reference.iterations = b.Simplex.iterations
+      | Simplex_reference.Infeasible, Simplex.Infeasible
+      | Simplex_reference.Unbounded, Simplex.Unbounded
+      | Simplex_reference.Iteration_limit, Simplex.Iteration_limit -> true
+      | _ -> false)
+
+(* A ≤ row with a negative rhs is negated into a ≥ row and needs an
+   artificial column.  The reference counted artificials before negating,
+   so that row's artificial landed in column [ncols], outside every loop,
+   and its phase-1 cost was read from whatever an earlier solve left in the
+   workspace: results depended on the workspace's history, and an
+   "optimal" x could be negative.  Now a solve on a used workspace equals a
+   fresh solve bit for bit, and an optimum is feasible. *)
+let simplex_ws_history_free =
+  QCheck.Test.make ~name:"simplex results do not depend on workspace history" ~count:1000
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Cpla_util.Rng.create seed in
+      let objective, rows = small_int_lp ~negative_le:true rng in
+      let p = { Simplex.objective; rows = Array.of_list (sparse_rows rows) } in
+      let fresh = Simplex.solve p and reused = Simplex.solve ~ws:simplex_oracle_ws p in
+      match (fresh, reused) with
+      | Simplex.Optimal a, Simplex.Optimal b ->
+          Array.for_all2 same_bits a.Simplex.x b.Simplex.x
+          && same_bits a.Simplex.objective b.Simplex.objective
+          && a.Simplex.iterations = b.Simplex.iterations
+          && Simplex.feasible p a.Simplex.x
+      | a, b -> a = b)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest lbfgs_vs_cholesky;
@@ -201,4 +292,6 @@ let suite =
     QCheck_alcotest.to_alcotest simplex_objective_scaling;
     QCheck_alcotest.to_alcotest cholesky_residual;
     QCheck_alcotest.to_alcotest sdp_objective_scaling;
+    QCheck_alcotest.to_alcotest simplex_matches_dense_reference;
+    QCheck_alcotest.to_alcotest simplex_ws_history_free;
   ]

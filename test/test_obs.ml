@@ -264,6 +264,44 @@ let test_sdp_span_convergence () =
       Alcotest.(check (option int)) "overflowed counter" (Some 1)
         (Metrics.counter_value "sdp/overflowed"))
 
+(* The ILP span's End event reports the search: nodes explored, whether it
+   ran to completion, and whether it found an incumbent.  A partition with
+   no free track for its one segment is infeasible under the ILP's hard
+   capacity rows: the root LP proves it, and [ilp/no-incumbent] counts it. *)
+let test_ilp_span_search_args () =
+  let options = Cpla_ilp.Solver.default_options in
+  let alpha = Cpla.Config.default.Cpla.Config.alpha in
+  with_obs (fun () ->
+      let solve f =
+        let r = Cpla.Ilp_method.solve ~options ~alpha f in
+        let ends =
+          List.filter
+            (fun (e : Event.t) -> e.name = "ilp/solve" && e.ph = Event.End)
+            (Sink.drain ())
+        in
+        match ends with
+        | [ e ] -> (r, fun key -> List.assoc_opt key e.args)
+        | _ -> Alcotest.failf "expected one ilp/solve End, got %d" (List.length ends)
+      in
+      let r, arg = solve (Test_cpla.random_formulation 4242) in
+      Alcotest.(check bool) "feasible: a layer per var" true (r <> None);
+      Alcotest.(check bool) "feasible: incumbent = 1" true (arg "incumbent" = Some (Event.Int 1));
+      Alcotest.(check bool) "feasible: proven_optimal = 1" true
+        (arg "proven_optimal" = Some (Event.Int 1));
+      Alcotest.(check bool) "feasible: nodes >= 1" true
+        (match arg "nodes" with Some (Event.Int n) -> n >= 1 | _ -> false);
+      Alcotest.(check (option int)) "no no-incumbent solve yet" None
+        (Metrics.counter_value "ilp/no-incumbent");
+      let r, arg = solve (Test_cpla.overfull_formulation ()) in
+      Alcotest.(check bool) "overfull: no layers" true (r = None);
+      List.iter
+        (fun (key, v) ->
+          Alcotest.(check bool) (Printf.sprintf "overfull: %s = %d" key v) true
+            (arg key = Some (Event.Int v)))
+        [ ("nodes", 1); ("proven_optimal", 1); ("incumbent", 0) ];
+      Alcotest.(check (option int)) "no-incumbent counter" (Some 1)
+        (Metrics.counter_value "ilp/no-incumbent"))
+
 (* ---- trace export ----------------------------------------------------------- *)
 
 let mk ?(args = []) name ph ts dom = { Event.name; ph; ts_ns = ts; dom; args }
@@ -325,4 +363,5 @@ let suite =
     Alcotest.test_case "trace roundtrip from spans" `Quick test_trace_roundtrip_from_spans;
     Alcotest.test_case "route span and maze counter" `Quick test_route_span;
     Alcotest.test_case "sdp span convergence args" `Quick test_sdp_span_convergence;
+    Alcotest.test_case "ilp span search args" `Quick test_ilp_span_search_args;
   ]
